@@ -14,6 +14,7 @@ test:
 
 perf-gate:
 	$(PYTHON) tools/perf_gate.py
+	$(PYTHON) -m pytest -q benchmarks/bench_hotpath.py
 
 chaos-smoke:
 	$(PYTHON) tools/chaos_gate.py --smoke

@@ -10,10 +10,10 @@ Runs a seeded incremental workload (``seeded_workload``) through
   must stay bit-identical no matter how the host code is reorganized
   (the cost-parity contract; see docs/ARCHITECTURE.md).
 
-Phases are measured in-tree via ``repro.obs`` spans (through the
-``repro.utils.timing`` compat shim) — the pipeline is instrumented
-with ``span(...)`` scopes that only collect while a tracer is active
-(``collect_phase_times()`` block), so production runs pay no overhead.
+Phases are measured in-tree via ``repro.obs`` spans — the pipeline is
+instrumented with ``span(...)`` scopes that only collect while a tracer
+is active (here a ledger-less ``Tracer``, whose ``phase_seconds`` sums
+host time per span name), so production runs pay no overhead.
 
 Usage::
 
@@ -35,16 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from bench_common import bench_record, partition_digest, seeded_workload
-from repro.core.backend import (
-    active_backend_name,
-    available_backends,
-    registered_backends,
-    set_backend,
-)
 from repro.core.igkway import IGKway
 from repro.gpusim.context import GpuContext
+from repro.obs import Tracer
 from repro.partition.config import PartitionConfig
-from repro.utils.timing import collect_phase_times
 
 FULL_SCALE = {"n_vertices": 77_000, "batches": 10}
 SMOKE_SCALE = {"n_vertices": 5_000, "batches": 5}
@@ -57,99 +51,50 @@ def run_hotpath(
     seed: int = 7,
     k: int = 8,
     mode: str = "vector",
-    backend: str | None = None,
 ) -> dict:
     """One measured incremental sweep; returns a ``repro-bench-v1``
-    record (host phase seconds + deterministic device-side outputs).
+    record (host phase seconds + deterministic device-side outputs)."""
+    csr, trace = seeded_workload(n_vertices, batches, seed=seed)
+    ig = IGKway(csr, PartitionConfig(k=k, mode=mode))
+    ig.full_partition()
 
-    ``backend`` selects the compute backend for the sweep (restored
-    afterwards); deterministic outputs must be identical under every
-    backend — that is the bit-identity contract ``tools/perf_gate.py``
-    certifies.
-    """
-    prior_backend = active_backend_name()
-    if backend is not None:
-        set_backend(backend)
-    try:
-        csr, trace = seeded_workload(n_vertices, batches, seed=seed)
-        ig = IGKway(csr, PartitionConfig(k=k, mode=mode))
-        ig.full_partition()
+    dev_mod = dev_part = dev_cut = 0.0
+    tracer = Tracer()
+    with tracer.activate():
+        t0 = time.perf_counter()
+        for batch in trace:
+            report = ig.apply(batch)
+            dev_mod += report.modification_seconds
+            dev_part += report.partitioning_seconds
+            dev_cut += report.cut_maintenance_seconds
+        sweep_total = time.perf_counter() - t0
 
-        dev_mod = dev_part = dev_cut = 0.0
-        with collect_phase_times() as phases:
-            t0 = time.perf_counter()
-            for batch in trace:
-                report = ig.apply(batch)
-                dev_mod += report.modification_seconds
-                dev_part += report.partitioning_seconds
-                dev_cut += report.cut_maintenance_seconds
-            sweep_total = time.perf_counter() - t0
-
-        host = dict(phases)
-        host["sweep_total"] = sweep_total
-        ledger = ig.ctx.ledger.total
-        return bench_record(
-            "hotpath",
-            workload={
-                "n_vertices": csr.num_vertices,
-                "n_edges": int(csr.num_edges),
-                "batches": batches,
-                "k": k,
-                "mode": mode,
-                "seed": seed,
-                "backend": active_backend_name(),
-            },
-            host_seconds=host,
-            device_seconds={
-                "modification": dev_mod,
-                "partitioning": dev_part,
-                "cut_maintenance": dev_cut,
-            },
-            ledger={
-                "warp_instructions": ledger.warp_instructions,
-                "transactions": ledger.transactions,
-            },
-            final_cut=ig.cut_size(),
-            partition_sha256=partition_digest(ig.state.partition),
-        )
-    finally:
-        if backend is not None:
-            set_backend(prior_backend)
-
-
-def measure_backend_timings(
-    n_vertices: int = 1_200,
-    batches: int = 3,
-    seed: int = 7,
-    k: int = 4,
-) -> dict:
-    """Run the smoke sweep once per *available* compute backend.
-
-    Asserts the bit-identity contract along the way: every backend must
-    produce the same final cut, ledger counters, and partition digest —
-    only host wall-clock may differ.
-    """
-    out: dict = {}
-    reference: dict | None = None
-    for name in available_backends():
-        record = run_hotpath(
-            n_vertices, batches, seed=seed, k=k, backend=name
-        )
-        out[name] = {
-            "sweep_total": record["host_seconds"]["sweep_total"],
-            "final_cut": record["final_cut"],
-            "partition_sha256": record["partition_sha256"],
-            "ledger": record["ledger"],
-        }
-        if reference is None:
-            reference = record
-        else:
-            for key in ("final_cut", "partition_sha256", "ledger"):
-                assert record[key] == reference[key], (
-                    f"backend {name!r} diverged on {key}: "
-                    f"{record[key]!r} != {reference[key]!r}"
-                )
-    return out
+    host = dict(tracer.phase_seconds)
+    host["sweep_total"] = sweep_total
+    ledger = ig.ctx.ledger.total
+    return bench_record(
+        "hotpath",
+        workload={
+            "n_vertices": csr.num_vertices,
+            "n_edges": int(csr.num_edges),
+            "batches": batches,
+            "k": k,
+            "mode": mode,
+            "seed": seed,
+        },
+        host_seconds=host,
+        device_seconds={
+            "modification": dev_mod,
+            "partitioning": dev_part,
+            "cut_maintenance": dev_cut,
+        },
+        ledger={
+            "warp_instructions": ledger.warp_instructions,
+            "transactions": ledger.transactions,
+        },
+        final_cut=ig.cut_size(),
+        partition_sha256=partition_digest(ig.state.partition),
+    )
 
 
 def check_mode_equivalence(
@@ -348,12 +293,6 @@ def test_hotpath_smoke():
     check_mode_equivalence(n_vertices=400, batches=2)
 
 
-def test_backend_timings_bit_identical():
-    """Every available backend reproduces the same sweep outputs."""
-    timings = measure_backend_timings(n_vertices=400, batches=2)
-    assert "numpy" in timings
-
-
 def test_sanitizer_overhead_contracts():
     """Shadow mode is ledger-neutral and the seeded sweep is race-free."""
     result = measure_sanitizer_overhead(n_vertices=300, batches=2)
@@ -384,12 +323,6 @@ def main(argv: list[str] | None = None) -> int:
         "--mode", choices=["vector", "warp"], default="vector"
     )
     parser.add_argument(
-        "--backend",
-        choices=registered_backends(),
-        default=None,
-        help="compute backend for the sweep (default: active backend)",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -409,14 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         k=args.k,
         mode=args.mode,
-        backend=args.backend,
     )
     if not args.no_equivalence:
         record["equivalence"] = check_mode_equivalence()
     if args.smoke:
-        # Per-backend smoke timings (and the bit-identity assertion
-        # across every available backend).
-        record["backends"] = measure_backend_timings()
         # Shadow-mode cost check rides along at smoke scale: asserts the
         # ledger is untouched by instrumentation and reports the host
         # wall-clock factor of running under the sanitizer.

@@ -27,8 +27,8 @@ started by the perf gate (``tools/perf_gate.py``) and the chaos gate
   contracts no single-file rule can see: WAL/journal appends dominate
   client acks in the serve ops, checkpoint/digest serialization never
   reads the derived ``CutAccumulator``, device-array writes are covered
-  by priced ``ledger.kernel`` scopes on every entry path, backend
-  kernels stay ledger-free, and refinement hot paths never draw
+  by priced ``ledger.kernel`` scopes on every entry path, the bulk
+  array kernels stay ledger-free, and refinement hot paths never draw
   unseeded randomness.
 
 All are wired into ``make check`` through ``tools/analysis_gate.py``

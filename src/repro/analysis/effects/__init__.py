@@ -6,17 +6,16 @@ invariants the engine actually rests on are *cross-function*: the serve
 layer must append to its WAL before acknowledging a request (PR 8), the
 state digest must never observe derived :class:`CutAccumulator` state
 (PR 7), a device-array write must be paid for by a priced kernel scope
-somewhere up its call chain, and backend kernels must stay ledger-free.
-None of those can be checked one module at a time.
+somewhere up its call chain, and the bulk array kernels must stay
+ledger-free.  None of those can be checked one module at a time.
 
 This subpackage closes the gap in three layers:
 
 * :mod:`repro.analysis.effects.callgraph` — a project-wide call graph
   over ``src/repro``: module-qualified resolution of direct calls,
   method calls via receiver-type heuristics (``self`` attributes,
-  annotations, local construction), nested/closure functions folded
-  through higher-order call sites, and the ``repro.core.backend``
-  dispatch table expanded to every registered backend.
+  annotations, local construction), and nested/closure functions
+  folded through higher-order call sites.
 * :mod:`repro.analysis.effects.infer` — per-function **effect
   signatures** extracted from the AST (``ledger.charge``,
   ``device.write``, ``wal.append``, ``journal.append``, ``fsync``,

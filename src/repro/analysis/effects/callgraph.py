@@ -18,17 +18,12 @@ on them (ARCHITECTURE §15 carries the user-facing version):
    construction, or (for ``self.attr.m(...)``) the class's attribute
    type map built from ``__init__`` assignments and ``AnnAssign``
    annotations (``Optional[T]`` and ``T | None`` unwrap to ``T``).
-4. **Backend dispatch** — a call on the result of
-   ``get_backend(...)``/``_backend()`` (or on a receiver typed
-   ``KernelBackend``) expands to the matching method on *every*
-   registered backend class (subclasses of ``KernelBackend``), mirroring
-   the ``repro.core.backend`` dispatch table.
-5. **Unique-name fallback** — ``x.m(...)`` with an unknown receiver
+4. **Unique-name fallback** — ``x.m(...)`` with an unknown receiver
    resolves to ``Class.m`` iff exactly one repo class defines ``m`` and
    ``m`` is not on the ambiguity deny-list (``copy``, ``close``,
    ``get``, …).  This is the only speculative rule; everything else is
    exact.
-6. **Higher-order folding** — a function-valued argument (a local or
+5. **Higher-order folding** — a function-valued argument (a local or
    nested function passed by name) becomes a callee of the call site,
    so effects inside callbacks like the serve layer's ``work()``
    closures are folded where they are *dispatched*.  Arguments passed
@@ -60,12 +55,6 @@ AMBIGUOUS_METHOD_NAMES: frozenset = frozenset(
 #: Call targets whose function-valued arguments execute inside a priced
 #: ``ledger.kernel`` scope (the launch framework opens it).
 KERNEL_DISPATCH_SUFFIXES: tuple = ("launch_warps", "launch_threads")
-
-#: Names whose call results dispatch through the backend table.
-BACKEND_FACTORY_NAMES: frozenset = frozenset({"get_backend", "_backend"})
-
-#: Root class of the backend dispatch table.
-BACKEND_BASE_CLASS = "KernelBackend"
 
 
 @dataclass
@@ -137,33 +126,6 @@ class CallGraph:
         return sorted(
             q for q in self.functions if not self.callers.get(q)
         )
-
-    def backend_classes(self) -> List[str]:
-        """Qualnames of classes in the backend dispatch table."""
-        out: List[str] = []
-        for qual, cls in self.classes.items():
-            if cls.name == BACKEND_BASE_CLASS or self._inherits(
-                qual, BACKEND_BASE_CLASS
-            ):
-                out.append(qual)
-        return sorted(out)
-
-    def _inherits(self, class_qual: str, base_name: str) -> bool:
-        seen: Set[str] = set()
-        stack = [class_qual]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            cls = self.classes.get(cur)
-            if cls is None:
-                continue
-            for base in cls.bases:
-                if base.rsplit(".", 1)[-1] == base_name:
-                    return True
-                stack.append(base)
-        return False
 
     def resolve_method(
         self, class_qual: str, method: str
@@ -426,8 +388,6 @@ class _Resolver:
                     cls = self._class_by_name(name)
                     if cls is not None:
                         types[target.id] = cls
-                    elif name in BACKEND_FACTORY_NAMES:
-                        types[target.id] = "<backend>"
             elif isinstance(stmt, ast.AnnAssign) and isinstance(
                 stmt.target, ast.Name
             ):
@@ -455,8 +415,6 @@ class _Resolver:
                 continue
             name = cls.attr_types.get(attr)
             if name is not None:
-                if name == "<backend>":
-                    return name
                 resolved = self._class_by_name(name)
                 if resolved is not None:
                     return resolved
@@ -464,41 +422,6 @@ class _Resolver:
         return None
 
     # -- call resolution -------------------------------------------------------
-
-    def _backend_targets(self, method: str) -> List[str]:
-        out: List[str] = []
-        for qual in self.graph.backend_classes():
-            target = self.graph.resolve_method(qual, method)
-            if target is not None:
-                out.append(target)
-        return sorted(set(out))
-
-    def _is_backend_receiver(
-        self, node: ast.AST, types: Dict[str, str]
-    ) -> bool:
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else (
-                    callee.attr
-                    if isinstance(callee, ast.Attribute)
-                    else None
-                )
-            )
-            return name in BACKEND_FACTORY_NAMES
-        if isinstance(node, ast.Name):
-            hint = types.get(node.id)
-            if hint == "<backend>":
-                return True
-            if hint is not None:
-                cls = self.graph.classes.get(hint)
-                return cls is not None and (
-                    cls.name == BACKEND_BASE_CLASS
-                    or self.graph._inherits(hint, BACKEND_BASE_CLASS)
-                )
-        return False
 
     def resolve(
         self,
@@ -559,44 +482,26 @@ class _Resolver:
                         if init is not None:
                             callees.append(init)
                         resolved = True
-            # 2. backend dispatch.
-            if not resolved and self._is_backend_receiver(
-                receiver, types
-            ):
-                targets = self._backend_targets(method)
-                if targets:
-                    callees.extend(targets)
-                    tags.append("dispatch:backend")
-                    resolved = True
-            # 3. self.<method> / typed receivers.
+            # 2. self.<method> / typed receivers.
             if not resolved:
                 cls_qual: Optional[str] = None
                 if isinstance(receiver, ast.Name):
                     if receiver.id == "self":
                         cls_qual = fn.cls
                     else:
-                        hint = types.get(receiver.id)
-                        if hint not in (None, "<backend>"):
-                            cls_qual = hint
+                        cls_qual = types.get(receiver.id)
                 elif (
                     isinstance(receiver, ast.Attribute)
                     and isinstance(receiver.value, ast.Name)
                     and receiver.value.id == "self"
                 ):
                     cls_qual = self._attr_type(fn.cls, receiver.attr)
-                    if cls_qual == "<backend>":
-                        targets = self._backend_targets(method)
-                        if targets:
-                            callees.extend(targets)
-                            tags.append("dispatch:backend")
-                        cls_qual = None
-                        resolved = True
                 if cls_qual is not None:
                     target = self.graph.resolve_method(cls_qual, method)
                     if target is not None:
                         callees.append(target)
                         resolved = True
-            # 4. unique-definer fallback.
+            # 3. unique-definer fallback.
             if (
                 not resolved
                 and not method.startswith("__")

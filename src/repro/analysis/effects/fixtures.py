@@ -88,27 +88,19 @@ FIXTURES: Dict[str, Tuple[Dict[str, str], Dict[str, str]]] = {
     ),
     "ledgered-backend-kernel": (
         {
-            "src/repro/core/backend/bad_backend.py": """
-            class KernelBackend:
-                pass
+            "src/repro/core/kernels.py": """
+            def choose_partition(counts, ledger):
+                _bill(ledger)
+                return counts
 
-            class CheatingBackend(KernelBackend):
-                def choose_partition(self, counts, ledger):
-                    self._bill(ledger)
-                    return counts
-
-                def _bill(self, ledger):
-                    ledger.charge_instructions(1)
+            def _bill(ledger):
+                ledger.charge_instructions(1)
             """,
         },
         {
-            "src/repro/core/backend/good_backend.py": """
-            class KernelBackend:
-                pass
-
-            class PureBackend(KernelBackend):
-                def choose_partition(self, counts):
-                    return counts.argmax()
+            "src/repro/core/kernels.py": """
+            def choose_partition(counts):
+                return counts.argmax()
             """,
         },
     ),

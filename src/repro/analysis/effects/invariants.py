@@ -29,10 +29,9 @@ The catalog (``INVARIANTS``):
     from a call-graph root with no scope on the stack are mutations
     the cost model never sees.
 ``ledgered-backend-kernel``
-    Methods of ``repro.core.backend`` dispatch-table classes must not
-    charge the ledger, directly or transitively: backends are pure
-    array functions and cost stays in callers (the PR 7 bit-identity
-    contract).
+    Functions in ``repro.core.kernels`` must not charge the ledger,
+    directly or transitively: the bulk kernels are pure array functions
+    and cost stays in callers (the PR 7 bit-identity contract).
 ``unseeded-hotpath-rng``
     A refinement/balancing hot-path function that uses RNG must take
     an explicit seed-ish parameter (``seed``/``rng``/``generator``/…)
@@ -119,7 +118,7 @@ INVARIANTS: Tuple[Invariant, ...] = (
         exempt_modules=(
             r"core/transaction\.py$",  # undo-log replay
             r"core/serialize\.py$",  # checkpoint load rebuilds arrays
-            r"core/backend/",  # pure array functions, charged by callers
+            r"core/kernels\.py$",  # pure array functions, charged by callers
             r"core/cpu_baseline\.py$",  # host-side reference implementation
         ),
     ),
@@ -127,10 +126,10 @@ INVARIANTS: Tuple[Invariant, ...] = (
         id="ledgered-backend-kernel",
         kind="forbid-effect",
         description=(
-            "backend dispatch-table kernels must stay ledger-free; "
+            "bulk array kernels must stay ledger-free; "
             "modeled cost is charged by callers"
         ),
-        module_pattern=r"(^|/)core/backend/",
+        module_pattern=r"(^|/)core/kernels\.py$",
         forbidden=frozenset({"ledger.charge"}),
     ),
     Invariant(

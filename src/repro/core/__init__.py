@@ -9,12 +9,6 @@ from repro.core.igkway import (
     IGKway,
     IterationReport,
 )
-from repro.core.backend import (
-    available_backends,
-    get_backend,
-    registered_backends,
-    set_backend,
-)
 from repro.core.modification import (
     SlotDelete,
     SlotInsert,
@@ -48,10 +42,6 @@ __all__ = [
     "apply_ops",
     "apply_ops_warp",
     "apply_ops_vector",
-    "get_backend",
-    "set_backend",
-    "available_backends",
-    "registered_backends",
     "expand_modifiers",
     "SlotInsert",
     "SlotDelete",

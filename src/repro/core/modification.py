@@ -27,7 +27,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from repro.core.backend import get_backend
+from repro.core.kernels import delete_slot_positions, insert_slot_positions
 from repro.gpusim.context import FULL_MASK, GpuContext
 from repro.gpusim.warp import Warp, ffs
 from repro.graph.bucketlist import (
@@ -443,9 +443,7 @@ def _insert_run_vector(
     uu, group = np.unique(us, return_inverse=True)
     slot_idx, owner = graph.slot_index_arrays(uu)
     is_empty = graph.bucket_list[slot_idx] == EMPTY
-    chosen = get_backend().insert_slot_positions(
-        group, uu.size, slot_idx, owner, is_empty
-    )
+    chosen = insert_slot_positions(group, uu.size, slot_idx, owner, is_empty)
     if chosen is None:
         # Overflow: some vertex needs more slots than it has empty.
         instructions = transactions = 0
@@ -504,7 +502,7 @@ def _delete_run_vector(
     # One slot segment *per op* (vertices repeated per delete), so each
     # op matches its value only against its own vertex's slots.
     slot_idx, owner = graph.slot_index_arrays(us)
-    chosen, found = get_backend().delete_slot_positions(
+    chosen, found = delete_slot_positions(
         slot_idx, owner, graph.bucket_list[slot_idx], vs
     )
     if not found.all():

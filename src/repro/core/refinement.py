@@ -32,8 +32,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.kernels import choose_partition, feasible_prefix
 from repro.gpusim.context import FULL_MASK, GpuContext
-from repro.core.backend import get_backend
 from repro.gpusim.primitives import charge_segmented_scan, sort_by_key
 from repro.gpusim.warp import Warp
 from repro.graph.bucketlist import (
@@ -136,31 +136,6 @@ def _find_moves(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _choose_partition(
-    counts: np.ndarray,
-    feasible: np.ndarray,
-    part_weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Most-suitable partition for every row of the ``(selected, k)``
-    counts matrix, as one masked argmax.
-
-    The tie-break rule is shared with the warp path (Algorithm 4 line
-    20) and is exact integer lexicographic comparison — most neighbors,
-    then lighter partition, then smaller index — never a floating-point
-    score, so the two execution paths cannot diverge on ties.  Rows with
-    no feasible partition fall back to the globally lightest partition —
-    a progress guarantee the paper leaves implicit.
-
-    Dispatches to the active compute backend
-    (:meth:`~repro.core.backend.numpy_backend.KernelBackend.choose_partition`
-    holds the reference implementation); every backend must reproduce
-    it bit-for-bit.
-
-    Returns aligned ``(targets, counts_at_target)`` arrays.
-    """
-    return get_backend().choose_partition(counts, feasible, part_weights)
-
-
 def _find_moves_vector(
     ctx: GpuContext,
     graph: BucketListGraph,
@@ -221,7 +196,7 @@ def _find_moves_vector(
         trans = graph.bucket_count[selected] * max(k_feasible, 1) + 2
         ctx.charge_irregular_warps(instr + 4, trans)
 
-    targets, nbr_counts = _choose_partition(
+    targets, nbr_counts = choose_partition(
         counts, feasible, state.part_weights
     )
     ctx.ledger.charge_atomics(selected.size)
@@ -279,7 +254,7 @@ def _find_moves_warp(
                 mask = warp.ballot_sync(FULL_MASK, (nbr_par == p) & filled)
                 num_nbr_in_p += bin(mask).count("1")
                 bucket_cnt += 1
-            # Shared tie-break rule (see _choose_partition): most
+            # Shared tie-break rule (see kernels.choose_partition): most
             # neighbors, then lighter partition, then smaller index —
             # ascending p plus strict comparisons implements exactly
             # that lexicographic order.
@@ -344,12 +319,10 @@ def longest_feasible_prefix(
         return 0
     # The ledger charge stays here — identical to what the in-place
     # segmented_inclusive_scan over the (k, m) ``delta_p_wgt`` layout
-    # would cost — while the scan's *result* comes from the active
-    # compute backend, so a backend swap can never move a counter.
+    # would cost — while the scan's *result* comes from the ledger-free
+    # kernel, so changing how it computes can never move a counter.
     charge_segmented_scan(ctx, k * m)
-    return get_backend().feasible_prefix(
-        targets, weights, part_weights, w_pmax, k
-    )
+    return feasible_prefix(targets, weights, part_weights, w_pmax, k)
 
 
 def _commit_moves(

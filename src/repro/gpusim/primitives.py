@@ -43,10 +43,11 @@ def charge_segmented_scan(ctx: GpuContext, n: int) -> None:
     """Charge the modeled cost of a segmented scan of ``n`` values —
     and nothing else.
 
-    For callers that compute the scan's *result* through a pluggable
-    compute backend (:mod:`repro.core.backend`) but must charge exactly
-    what :func:`segmented_inclusive_scan` would, so a backend swap can
-    never move a deterministic ledger counter.
+    For callers that compute the scan's *result* with a ledger-free
+    array kernel (:func:`repro.core.kernels.feasible_prefix`) but must
+    charge exactly what :func:`segmented_inclusive_scan` would, so the
+    kernel's implementation can never move a deterministic ledger
+    counter.
     """
     _charge_scan(ctx, n, passes=3, name="segmented-scan")
 

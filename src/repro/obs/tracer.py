@@ -142,17 +142,23 @@ class Tracer:
 
     Args:
         ledger: Cost ledger to attribute device work from; None records
-            host times only (the ``utils.timing`` compatibility mode).
+            host times only (read them from :attr:`phase_seconds`).
         session: Free-form correlation label stamped on the trace
             header (e.g. a stream session or bench name).
 
     A tracer is single-use and single-threaded: :meth:`activate`
     installs it as the module-global active tracer and registers the
-    ledger ``obs_hook``; both are restored on exit.  Activating a
-    second tracer nests (the inner one wins until its block exits);
-    activating from a different thread than the currently active
-    tracer's owner raises ``RuntimeError`` — see
-    :mod:`repro.utils.timing` for the single-threaded contract.
+    ledger ``obs_hook``; both are restored on exit, also when an
+    exception escapes the block.  Activating a second tracer nests (the
+    inner one wins until its block exits).
+
+    **Threading contract**: the active-tracer slot is one bare module
+    global with *no* locking — the hot paths are single-threaded NumPy
+    driving, and a per-span lock would cost more than the phases being
+    measured.  All spans and tracers must therefore run on one thread;
+    activating a tracer while one owned by a *different* thread is
+    active raises ``RuntimeError`` instead of silently corrupting the
+    active tracer's timings.
     """
 
     def __init__(
@@ -163,8 +169,8 @@ class Tracer:
         self.ledger = ledger
         self.session = session
         self.events: List[TraceEvent] = []
-        #: Host seconds accumulated per span name (the
-        #: ``collect_phase_times`` compatibility surface).
+        #: Host seconds accumulated per span name; same-name spans add
+        #: up (the perf harness reads its phase timings from here).
         self.phase_seconds: Dict[str, float] = {}
         self.current_batch: Optional[int] = None
         self._stack: List[_OpenSpan] = []

@@ -59,17 +59,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import fold_cut_deltas
 from repro.graph.bucketlist import EMPTY, BucketListGraph
 from repro.partition.metrics import arc_matrix_bucketlist
-
-
-def _backend():
-    # Lazy: a module-level ``repro.core.backend`` import would initialize
-    # ``repro.core``, whose own init imports this package — see the same
-    # pattern in :mod:`repro.partition.state`.
-    from repro.core.backend import get_backend
-
-    return get_backend()
 
 
 class CutAccumulator:
@@ -209,7 +201,7 @@ class CutAccumulator:
             [new_e * ext_n + nbr_ext, nbr_ext * ext_n + new_e]
         )
         w2 = np.concatenate([weights, weights])
-        _backend().fold_cut_deltas(self._flat, sub_keys, w2, add_keys, w2)
+        fold_cut_deltas(self._flat, sub_keys, w2, add_keys, w2)
         self.touched_arcs += int(sub_keys.size)
 
     def on_moves(
@@ -268,9 +260,7 @@ class CutAccumulator:
             [add_keys, (nbr_old * ext_n + new_u)[non_co]]
         )
         w_all = np.concatenate([weights, weights[non_co]])
-        _backend().fold_cut_deltas(
-            self._flat, sub_keys, w_all, add_keys, w_all
-        )
+        fold_cut_deltas(self._flat, sub_keys, w_all, add_keys, w_all)
         self.touched_arcs += int(sub_keys.size)
         pos[vertices] = -1
 
@@ -375,7 +365,7 @@ class CutAccumulator:
         """Apply :meth:`edge_deltas` output to the matrix (post-commit)."""
         if self._flat is None:
             return
-        _backend().fold_cut_deltas(
+        fold_cut_deltas(
             self._flat, sub_keys, sub_weights, add_keys, add_weights
         )
         self.touched_arcs += int(sub_keys.size + add_keys.size)

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.kernels import apply_move_deltas
 from repro.partition.metrics import (
     is_balanced,
     max_partition_weight,
@@ -25,16 +26,6 @@ from repro.utils.errors import PartitionError
 if TYPE_CHECKING:
     from repro.partition.cutacc import CutAccumulator
 
-
-def _backend():
-    # Imported lazily: ``repro.core.backend`` initializes the
-    # ``repro.core`` package, which imports this module — a module-level
-    # import here would deadlock the cycle when ``repro.partition`` is
-    # imported first.  ``sys.modules`` makes the per-call cost one dict
-    # hit.
-    from repro.core.backend import get_backend
-
-    return get_backend()
 
 #: Partition label of deleted / not-yet-assigned vertices.
 UNASSIGNED = np.int64(-1)
@@ -183,7 +174,7 @@ class PartitionState:
             # Before the label writes: the hook re-keys the movers' arcs
             # from the pre-move labels still in ``partition``.
             self.cut_acc.on_moves(self.partition, vertices, targets)
-        part_delta, pseudo_delta = _backend().apply_move_deltas(
+        part_delta, pseudo_delta = apply_move_deltas(
             src, targets, weights, self.k, self.pseudo_label
         )
         self.part_weights += part_delta

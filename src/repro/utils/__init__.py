@@ -24,11 +24,8 @@ from repro.utils.faultinject import (
     ServeFaultPlan,
 )
 from repro.utils.seeding import derive_seed, make_rng
-from repro.utils.timing import collect_phase_times, timed
 
 __all__ = [
-    "collect_phase_times",
-    "timed",
     "ReproError",
     "GraphConsistencyError",
     "BucketListFullError",

@@ -1,8 +1,11 @@
 """Call-graph construction: resolution rules the invariants rely on."""
 
 import textwrap
+from pathlib import Path
 
 from repro.analysis.effects.callgraph import build_callgraph
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _graph(tmp_path, tree):
@@ -172,36 +175,39 @@ class TestMethodResolution:
         )
 
 
-class TestBackendDispatch:
-    def test_backend_call_expands_to_all_subclasses(self, tmp_path):
-        graph = _graph(
-            tmp_path,
-            {
-                "src/repro/core/backend/__init__.py": """
-                class KernelBackend:
-                    pass
-
-                def get_backend():
-                    return KernelBackend()
-                """,
-                "src/repro/core/backend/np_impl.py": """
-                from repro.core.backend import KernelBackend
-
-                class NumpyBackend(KernelBackend):
-                    def scan(self, xs):
-                        return xs
-                """,
-                "src/repro/core/i.py": """
-                from repro.core.backend import get_backend
-
-                def driver(xs):
-                    return get_backend().scan(xs)
-                """,
+class TestRealTreeKernelEdges:
+    def test_each_kernel_keeps_its_callers(self):
+        """The bulk kernels are plain functions called directly; the
+        call graph must still see every caller the effect invariants
+        check them through."""
+        graph = build_callgraph([REPO_SRC])
+        expected = {
+            "choose_partition": {"repro.core.refinement._find_moves_vector"},
+            "feasible_prefix": {
+                "repro.core.refinement.longest_feasible_prefix"
             },
-        )
-        assert "repro.core.backend.np_impl.NumpyBackend.scan" in _callees(
-            graph, "repro.core.i.driver"
-        )
+            "insert_slot_positions": {
+                "repro.core.modification._insert_run_vector"
+            },
+            "delete_slot_positions": {
+                "repro.core.modification._delete_run_vector"
+            },
+            "apply_move_deltas": {
+                "repro.partition.state.PartitionState.apply_moves"
+            },
+            "fold_cut_deltas": {
+                f"repro.partition.cutacc.CutAccumulator.{method}"
+                for method in ("fold", "on_move", "on_moves")
+            },
+        }
+        for kernel, callers in expected.items():
+            got = {
+                caller
+                for caller, _ in graph.callers.get(
+                    f"repro.core.kernels.{kernel}", []
+                )
+            }
+            assert got == callers, kernel
 
 
 class TestKernelScope:

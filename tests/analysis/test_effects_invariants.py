@@ -58,11 +58,15 @@ class TestFindingShape:
         assert "state_digest" in hit.symbol
 
     def test_backend_billing_is_transitive(self):
+        # The fixture kernel only charges through its ``_bill`` helper,
+        # so flagging it proves the checker followed the call edge.
         findings = run_fixture(FIXTURES["ledgered-backend-kernel"][0])
-        hit = next(
-            f for f in findings if f.rule == "ledgered-backend-kernel"
-        )
-        assert "CheatingBackend" in hit.symbol
+        symbols = {
+            f.symbol for f in findings if f.rule == "ledgered-backend-kernel"
+        }
+        assert any(
+            s.endswith("kernels.choose_partition") for s in symbols
+        ), symbols
 
 
 class TestPragmaSuppression:

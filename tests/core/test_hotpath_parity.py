@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.refinement import _choose_partition, _find_moves, refine_pseudo
+from repro.core.kernels import choose_partition
+from repro.core.refinement import _find_moves, refine_pseudo
 from repro.graph import BucketListGraph, circuit_graph
 from repro.gpusim import GpuContext
 from repro.partition import UNASSIGNED, PartitionState
@@ -87,7 +88,7 @@ class TestTieBreakRule:
         counts = np.array([[1, 1]])
         feasible = np.ones((1, 2), dtype=bool)
         part_weights = np.array([10**18, 10**18 - 1000], dtype=np.int64)
-        targets, chosen = _choose_partition(counts, feasible, part_weights)
+        targets, chosen = choose_partition(counts, feasible, part_weights)
         assert targets[0] == 1
         assert chosen[0] == 1
 
@@ -95,21 +96,21 @@ class TestTieBreakRule:
         counts = np.array([[3, 2]])
         feasible = np.ones((1, 2), dtype=bool)
         part_weights = np.array([100, 0], dtype=np.int64)
-        targets, _ = _choose_partition(counts, feasible, part_weights)
+        targets, _ = choose_partition(counts, feasible, part_weights)
         assert targets[0] == 0
 
     def test_full_tie_prefers_smaller_index(self):
         counts = np.array([[2, 2, 2]])
         feasible = np.ones((1, 3), dtype=bool)
         part_weights = np.array([5, 5, 5], dtype=np.int64)
-        targets, _ = _choose_partition(counts, feasible, part_weights)
+        targets, _ = choose_partition(counts, feasible, part_weights)
         assert targets[0] == 0
 
     def test_infeasible_column_is_skipped(self):
         counts = np.array([[5, 1]])
         feasible = np.array([[False, True]])
         part_weights = np.array([0, 10], dtype=np.int64)
-        targets, _ = _choose_partition(counts, feasible, part_weights)
+        targets, _ = choose_partition(counts, feasible, part_weights)
         assert targets[0] == 1
 
 

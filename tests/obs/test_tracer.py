@@ -142,6 +142,32 @@ def test_exception_inside_span_still_closes_it():
     assert active_tracer() is None
 
 
+def test_exception_in_span_still_records_and_unwinds():
+    tracer = Tracer()
+    with tracer.activate():
+        with pytest.raises(ValueError):
+            with span("outer"):
+                with span("doomed"):
+                    raise ValueError("boom")
+        # The tracer survives the exception and keeps recording, with the
+        # raising spans popped off its stack.
+        with span("next"):
+            pass
+    assert [e.name for e in tracer.events] == ["doomed", "outer", "next"]
+    assert tracer.events[-1].depth == 0 and tracer.events[-1].parent is None
+
+
+def test_exception_exits_activation_cleanly():
+    with pytest.raises(ValueError):
+        with Tracer().activate():
+            raise ValueError("boom")
+    # The tracer is uninstalled again: spans are no-ops.
+    assert active_tracer() is None
+    with span("untraced"):
+        pass
+    assert active_tracer() is None
+
+
 def test_ledger_delta_tracks_activation_window():
     ctx = GpuContext()
     with ctx.ledger.section("pre"), ctx.ledger.kernel("warmup"):

@@ -1,0 +1,44 @@
+"""``tools/perf_gate.py`` comparison rules on synthetic bench records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+GATE_PATH = Path(__file__).resolve().parents[1] / "tools" / "perf_gate.py"
+
+
+@pytest.fixture(scope="module")
+def perf_gate():
+    spec = importlib.util.spec_from_file_location("perf_gate", GATE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record():
+    return {
+        "ledger": {"warp_instructions": 640, "transactions": 32},
+        "final_cut": 76,
+        "partition_sha256": "e40f",
+        "device_seconds": {"modification": 1e-3, "partitioning": 2e-3},
+        "host_seconds": {"cut-size": 0.001, "sweep_total": 0.5},
+    }
+
+
+def test_missing_cut_size_phase_fails(perf_gate):
+    """A renamed or lost ``cut-size`` span must not pass the cut-read
+    check vacuously."""
+    fresh = _record()
+    del fresh["host_seconds"]["cut-size"]
+    failures = perf_gate.compare(_record(), fresh, 0.2)
+    assert len(failures) == 1
+    assert "cut-size" in failures[0]
+
+
+def test_slow_cut_read_fails(perf_gate):
+    fresh = _record()
+    fresh["host_seconds"]["cut-size"] = 0.3
+    failures = perf_gate.compare(_record(), fresh, 0.2)
+    assert len(failures) == 1
+    assert "no longer incremental" in failures[0]
