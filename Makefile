@@ -4,10 +4,10 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: check test perf-gate chaos-smoke analysis-gate effects-gate obs-gate serve-gate serve-chaos serve-obs lint effects chaos bench
+.PHONY: check test perf-gate chaos-smoke analysis-gate obs-gate serve-gate lint effects chaos bench
 
-## The pre-merge bar: full test suite + all eight deterministic gates.
-check: test perf-gate chaos-smoke analysis-gate effects-gate obs-gate serve-gate serve-chaos serve-obs
+## The pre-merge bar: full test suite + all five deterministic gates.
+check: test perf-gate chaos-smoke analysis-gate obs-gate serve-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,28 +22,19 @@ chaos-smoke:
 analysis-gate:
 	$(PYTHON) tools/analysis_gate.py
 
-effects-gate:
-	$(PYTHON) tools/effects_gate.py
-
 obs-gate:
 	$(PYTHON) tools/obs_gate.py
 
 serve-gate:
 	$(PYTHON) tools/serve_gate.py
 
-serve-chaos:
-	$(PYTHON) tools/serve_chaos_gate.py
-
-serve-obs:
-	$(PYTHON) tools/serve_obs_gate.py
-
 ## Lint only (no sanitizer sweep); fast inner-loop check.
 lint:
-	$(PYTHON) -m repro.analysis.cli --effects --baseline tools/analysis_baseline.json src tools benchmarks examples
+	$(PYTHON) -m repro.analysis.cli --effects src tools benchmarks examples
 
 ## Interprocedural effect invariants only.
 effects:
-	$(PYTHON) -m repro.analysis.cli --effects-only --baseline tools/analysis_baseline.json src/repro
+	$(PYTHON) -m repro.analysis.cli --effects-only src/repro
 
 ## Full-scale (slower) variants.
 chaos:

@@ -19,7 +19,7 @@ changing any tenant's bits.  This bench measures both claims:
   hooks when tracing is *off* (no ``TraceRecorder`` configured): one
   inactive ``span()`` enter/exit plus one wire-trace parse of an
   untraced request.  Asserted under ``MAX_DISABLED_TRACING_NS`` — the
-  same bound ``tools/obs_gate.py --max-off-ns`` enforces — so the PR 10
+  same bound as ``tools/obs_gate.py``'s ``MAX_OFF_NS`` — so the
   tracing plumbing stays free for servers that never turn it on.
 
 Host numbers are wall clock and machine-dependent; every cycle count
@@ -66,7 +66,7 @@ PARTITION_SEED = 3
 K = 4
 
 #: Per-call budget for the disabled tracing path, matching the bound
-#: ``tools/obs_gate.py --max-off-ns`` holds the span tracer to.
+#: ``tools/obs_gate.py`` (``MAX_OFF_NS``) holds the span tracer to.
 MAX_DISABLED_TRACING_NS = 5000.0
 
 

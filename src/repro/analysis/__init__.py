@@ -31,13 +31,13 @@ started by the perf gate (``tools/perf_gate.py``) and the chaos gate
   array kernels stay ledger-free, and refinement hot paths never draw
   unseeded randomness.
 
-All are wired into ``make check`` through ``tools/analysis_gate.py``
-and ``tools/effects_gate.py`` with a checked-in baseline for
-grandfathered findings; the ``repro-lint`` console script exposes the
-lint pack directly (``--effects`` adds the interprocedural pass).
+All are wired into ``make check`` through ``tools/analysis_gate.py``;
+an intentional finding is suppressed in-source with a justified
+``# repro-lint: allow[rule-id] reason`` pragma.  The ``repro-lint``
+console script exposes the lint pack directly (``--effects`` adds the
+interprocedural pass).
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.lintcore import (
     Finding,
     LintRule,
@@ -58,7 +58,6 @@ from repro.analysis.sweep import SweepReport, run_sanitized_sweep
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "LaunchTrace",
     "LintRule",

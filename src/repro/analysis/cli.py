@@ -3,16 +3,14 @@
 Typical invocations::
 
     repro-lint src tools benchmarks examples
-    repro-lint --baseline tools/analysis_baseline.json src tools
-    repro-lint --update-baseline tools/analysis_baseline.json src tools
     repro-lint --rules unseeded-rng,blind-except src
     repro-lint --effects src            # lint rules + effect invariants
     repro-lint --effects-only src/repro # just the interprocedural pass
     repro-lint --json src
 
-Exit status is 1 when any non-baselined finding remains (or when the
-baseline has stale entries that should be pruned), 0 otherwise.  Also
-runnable as ``python -m repro.analysis.cli``.
+Exit status is 1 when any finding remains, 0 otherwise; suppress an
+intentional finding in-source with ``# repro-lint: allow[rule-id]
+reason``.  Also runnable as ``python -m repro.analysis.cli``.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import json
 import sys
 from typing import Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.lintcore import Finding, lint_paths
 from repro.analysis.rules import ALL_RULES, get_rules
 
@@ -53,17 +50,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract grandfathered findings recorded in FILE",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        metavar="FILE",
-        help="rewrite FILE to cover the current findings exactly, "
-        "keeping reasons for surviving entries",
     )
     parser.add_argument(
         "--rules",
@@ -121,37 +107,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{timing.total_seconds:.2f}s"
             )
 
-    if args.update_baseline:
-        previous = Baseline.load(args.update_baseline)
-        updated = Baseline.from_findings(findings, reasons=previous.reasons)
-        updated.save(args.update_baseline)
-        print(
-            f"baseline {args.update_baseline}: "
-            f"{sum(e.count for e in updated.entries.values())} finding(s) "
-            f"across {len(updated.entries)} key(s)"
-        )
-        return 0
-
-    stale: list[str] = []
-    if args.baseline:
-        baseline = Baseline.load(args.baseline)
-        findings, stale = baseline.filter(findings)
-
     if args.json:
         print(_findings_json(findings))
     else:
         for finding in findings:
             print(finding)
-        for entry in stale:
-            print(f"stale baseline entry: {entry}")
-        if findings or stale:
-            print(
-                f"{len(findings)} finding(s), {len(stale)} stale baseline "
-                "entr(y/ies)"
-            )
-        else:
-            print("repro-lint: clean")
-    return 1 if findings or stale else 0
+        print(
+            f"{len(findings)} finding(s)" if findings else "repro-lint: clean"
+        )
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

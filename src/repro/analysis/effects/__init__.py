@@ -25,11 +25,11 @@ This subpackage closes the gap in three layers:
   ("append before ack") stays checkable.
 * :mod:`repro.analysis.effects.invariants` — a declarative catalog of
   repo invariants checked against those signatures; violations are
-  ordinary :class:`~repro.analysis.lintcore.Finding` objects flowing
-  through the existing pragma/baseline machinery (suppress with
+  ordinary :class:`~repro.analysis.lintcore.Finding` objects honoring
+  the existing pragma machinery (suppress with
   ``# repro-lint: allow[invariant-id] reason``).
 
-Run it with ``repro-lint --effects`` or ``tools/effects_gate.py``;
+Run it with ``repro-lint --effects`` or ``tools/analysis_gate.py``;
 golden bad-tree fixtures proving every invariant fires live in
 :mod:`repro.analysis.effects.fixtures`.
 """
@@ -50,11 +50,7 @@ from repro.analysis.effects.invariants import (
     check_invariants,
     run_effects_analysis,
 )
-from repro.analysis.effects.report import (
-    EffectsReport,
-    format_report,
-    signature_table,
-)
+from repro.analysis.effects.report import EffectsReport, format_report
 
 __all__ = [
     "CallGraph",
@@ -69,5 +65,4 @@ __all__ = [
     "format_report",
     "infer_effects",
     "run_effects_analysis",
-    "signature_table",
 ]

@@ -115,12 +115,6 @@ class CallGraph:
     #: callee qualname -> [(caller qualname, kernel_scoped)]
     callers: Dict[str, List[Tuple[str, bool]]] = field(default_factory=dict)
 
-    def module_of(self, qualname: str) -> Optional[ModuleInfo]:
-        node = self.functions.get(qualname)
-        if node is None:
-            return None
-        return self.modules.get(node.module)
-
     def roots(self) -> List[str]:
         """Functions with no intra-repo callers (entry points)."""
         return sorted(

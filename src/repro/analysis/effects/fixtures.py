@@ -6,9 +6,8 @@ violates it — a WAL appended *after* the ack, a digest that reads
 twin.  ``run_selftest`` materializes every pair into a temp directory
 and asserts the invariant fires on the bad tree and stays silent on
 the good one; a checker that cannot re-find these seeded bugs would
-let the repo-wide pass succeed vacuously, so both
-``tools/effects_gate.py`` and ``tools/analysis_gate.py`` run this
-before trusting a clean repo result.
+let the repo-wide pass succeed vacuously, so ``tools/analysis_gate.py``
+runs this before trusting a clean repo result.
 
 Fixture paths mirror the real layout (``src/repro/...``) because the
 invariants scope by module path.

@@ -393,13 +393,6 @@ class EffectEngine:
     def signature(self, qualname: str) -> Optional[EffectSignature]:
         return self.signatures.get(qualname)
 
-    def functions_with(self, atom: str) -> List[str]:
-        return sorted(
-            q
-            for q, sig in self.signatures.items()
-            if atom in sig.effects
-        )
-
     def exposed_functions(self) -> Set[str]:
         """Functions reachable from a call-graph root without ever
         crossing a kernel-scoped call site.
@@ -429,19 +422,6 @@ class EffectEngine:
                         exposed.add(callee)
                         pending.append(callee)
         return exposed
-
-    def reachable_from(self, sources: Iterable[str]) -> Set[str]:
-        """Transitive callees of ``sources`` (the sources included)."""
-        seen: Set[str] = set()
-        pending = [s for s in sources]
-        while pending:
-            cur = pending.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for site in self.graph.calls.get(cur, []):
-                pending.extend(site.callees)
-        return seen
 
 
 def infer_effects(paths: Iterable[str]) -> EffectEngine:

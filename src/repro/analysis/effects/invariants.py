@@ -4,9 +4,8 @@ Each invariant is data: a scope (regexes over module paths and
 function qualnames), the effect atoms involved, and a *kind* that picks
 the checking algorithm.  Violations become ordinary
 :class:`~repro.analysis.lintcore.Finding` objects — same pragma
-(``# repro-lint: allow[<invariant-id>] reason``) and baseline machinery
-as the AST rule pack, keyed by qualified symbol so they survive file
-moves.
+(``# repro-lint: allow[<invariant-id>] reason``) machinery as the AST
+rule pack, each naming the qualified symbol of the function it flags.
 
 The catalog (``INVARIANTS``):
 

@@ -9,7 +9,7 @@ content beyond the timing figures themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.effects.callgraph import callgraph_stats
 from repro.analysis.effects.infer import EffectEngine
@@ -23,25 +23,6 @@ class EffectsReport:
 
     findings: List[Finding] = field(default_factory=list)
     timing: Optional[EffectsTiming] = None
-
-
-def signature_table(
-    engine: EffectEngine, atoms: Optional[List[str]] = None
-) -> Dict[str, List[str]]:
-    """``qualname -> sorted effect atoms`` for functions with effects.
-
-    ``atoms`` restricts the table to functions carrying at least one of
-    the given atoms (the full table is large).
-    """
-    table: Dict[str, List[str]] = {}
-    for qualname in sorted(engine.signatures):
-        sig = engine.signatures[qualname]
-        if not sig.effects:
-            continue
-        if atoms is not None and not (set(atoms) & sig.effects):
-            continue
-        table[qualname] = sorted(sig.effects)
-    return table
 
 
 def format_report(

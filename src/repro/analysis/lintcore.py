@@ -20,11 +20,9 @@ machinery:
 
 Pragmas are read with :mod:`tokenize` so they work in any position a
 real comment can occupy (and *only* real comments — pragma-shaped text
-inside strings and f-strings is inert).  Findings are keyed by
-``(rule, qualified symbol, message)`` — the symbol is the enclosing
-``module.Class.function`` — rather than line numbers or raw paths, so
-the checked-in baseline survives unrelated edits *and* file
-renames/moves (see :mod:`repro.analysis.baseline`).
+inside strings and f-strings is inert).  Each finding also carries its
+qualified enclosing symbol (``module.Class.function``), so it names
+the function it sits in independently of the file path.
 """
 
 from __future__ import annotations
@@ -55,9 +53,8 @@ class Finding:
     ``message`` is written to be stable under unrelated edits: it names
     the construct (function, loop variable, call) rather than quoting
     source text.  ``symbol`` is the qualified enclosing symbol
-    (``module.Class.function``); the baseline keys on ``(rule, symbol,
-    message)`` so findings survive file renames, falling back to the
-    path for module-scope findings in unresolvable trees.
+    (``module.Class.function``), reported in the JSON output; it is
+    empty for module-scope findings in unresolvable trees.
     """
 
     rule: str
@@ -65,21 +62,6 @@ class Finding:
     line: int
     message: str
     symbol: str = ""
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Rename-stable identity used by the baseline.
-
-        Keys on the qualified symbol when one was resolved (the shape
-        of the finding), and on the path only as a fallback.
-        """
-        return (self.rule, self.symbol or self.path, self.message)
-
-    @property
-    def legacy_key(self) -> tuple[str, str, str]:
-        """Pre-symbol identity: baselines written before symbols
-        existed are matched through this."""
-        return (self.rule, self.path, self.message)
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -273,7 +255,7 @@ def _collect_pragmas(info: ModuleInfo) -> None:
 class LintRule:
     """Base class for lint rules.
 
-    Subclasses set ``id`` (kebab-case, used in pragmas and baselines)
+    Subclasses set ``id`` (kebab-case, used in pragmas and findings)
     and implement :meth:`check`.  ``applies_to`` lets path-scoped rules
     skip whole files cheaply.
     """

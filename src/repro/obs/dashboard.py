@@ -12,7 +12,7 @@ Two contracts keep the page honest:
 
 * **numbers come from the scrape, nothing else** — the page embeds its
   parsed dataset as a ``<script type="application/json">`` block
-  (:func:`dashboard_data`), so ``tools/serve_obs_gate.py`` can assert
+  (:func:`dashboard_data`), so ``tools/serve_gate.py`` can assert
   the dashboard agrees with the scrape byte-for-byte;
 * **no dependencies, no JS** — charts are server-rendered inline SVG
   with native ``<title>`` hover tooltips, and every figure also

@@ -9,9 +9,8 @@ crash-recoverable: a per-tenant serve WAL re-materializes every session
 after a process kill, and a worker supervisor fails sessions over to
 surviving devices when one dies.  See ``ARCHITECTURE.md`` §12 for the
 serving design and §14 for durability & failover;
-``tools/serve_gate.py`` and ``tools/serve_chaos_gate.py`` hold the
-bit-identity, attribution, and crash-convergence invariants the layer
-must keep.
+``tools/serve_gate.py`` holds the bit-identity, attribution, and
+crash-convergence invariants the layer must keep.
 """
 
 from repro.serve.client import ServeClient

@@ -1,6 +1,6 @@
 """Golden fixtures: every invariant fires on its seeded-bad tree.
 
-The same pairs back ``tools/effects_gate.py``'s self-test stage; the
+The same pairs back ``tools/analysis_gate.py``'s self-test stage; the
 tests here additionally pin per-invariant details (finding symbol,
 pragma suppression, real-tree cleanliness and the performance budget).
 """

@@ -1,4 +1,4 @@
-"""repro-lint CLI behavior: exit codes, baseline modes, JSON output."""
+"""repro-lint CLI behavior: exit codes, rule selection, JSON output."""
 
 import json
 import textwrap
@@ -28,22 +28,6 @@ def test_finding_exits_one(tmp_path, capsys):
     target = _write(tmp_path)
     assert main([str(target)]) == 1
     assert "unseeded-rng" in capsys.readouterr().out
-
-
-def test_baseline_absorbs_findings(tmp_path):
-    target = _write(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main(["--update-baseline", str(baseline), str(target)]) == 0
-    assert main(["--baseline", str(baseline), str(target)]) == 0
-
-
-def test_stale_baseline_entry_fails(tmp_path, capsys):
-    target = _write(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    main(["--update-baseline", str(baseline), str(target)])
-    target.write_text("x = 1\n")  # finding fixed; baseline now stale
-    assert main(["--baseline", str(baseline), str(target)]) == 1
-    assert "stale" in capsys.readouterr().out
 
 
 def test_rule_selection(tmp_path):

@@ -387,6 +387,24 @@ class TestFramework:
         target.write_text('"""Doc."""\n# repro-lint: hot-path\nx = 1\n')
         assert load_module(target).hot_path
 
+    def test_real_findings_carry_module_qualified_symbols(self, tmp_path):
+        code = """
+            def risky():
+                try:
+                    pass
+                except Exception:
+                    pass
+            """
+        first = _lint_snippet(
+            tmp_path, "src/repro/core/before.py", code, ["blind-except"]
+        )
+        second = _lint_snippet(
+            tmp_path, "src/repro/core/after.py", code, ["blind-except"]
+        )
+        assert first and second
+        assert first[0].symbol == "repro.core.before.risky"
+        assert second[0].symbol == "repro.core.after.risky"
+
     def test_rule_ids_unique_and_kebab(self):
         ids = [rule.id for rule in ALL_RULES]
         assert len(ids) == len(set(ids)) == 12

@@ -3,7 +3,7 @@
 The dashboard's contract is that its page is a pure function of one
 Prometheus scrape: ``dashboard_data`` extracts the dataset,
 ``render_dashboard`` embeds it, ``extract_data_block`` reads it back
-bit-identically (what ``tools/serve_obs_gate.py`` enforces against a
+bit-identically (what ``tools/serve_gate.py`` enforces against a
 live server).
 """
 

@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.graph.modifiers import EdgeInsert
-from repro.serve.registry import (
-    SessionRegistry,
-    build_graph,
-    partition_sha256,
-)
+from repro.serve.registry import SessionRegistry, partition_sha256
 from repro.serve.wal import ServeWAL
 
 SPEC = {
@@ -22,24 +17,6 @@ SPEC_B = {
 }
 
 
-def _clean_mods(n, spec=SPEC, start=0):
-    """Insert-only edges absent from ``spec``'s graph (no poison):
-    the exact cycle-parity contract holds only for clean streams."""
-    nv = spec["args"]["num_vertices"]
-    graph = build_graph(spec)
-    out, seen, candidate = [], set(), start
-    while len(out) < n:
-        u = candidate % nv
-        v = (u + 17 + candidate // nv) % nv
-        candidate += 1
-        key = (min(u, v), max(u, v))
-        if u == v or key in seen or graph.has_edge(u, v):
-            continue
-        seen.add(key)
-        out.append(EdgeInsert(u=u, v=v))
-    return out
-
-
 def _fingerprint(entry):
     return (
         partition_sha256(entry.session.partition),
@@ -49,10 +26,10 @@ def _fingerprint(entry):
 
 
 class TestRecoverEntries:
-    def test_round_trip_digest_and_cycles(self, tmp_path):
+    def test_round_trip_digest_and_cycles(self, tmp_path, clean_mods):
         registry = SessionRegistry(tmp_path / "d", workers=2)
         entry = registry.create("t", "s", SPEC, k=3, seed=4)
-        stream = _clean_mods(40)
+        stream = clean_mods(SPEC, 40)
         for mod in stream[:30]:
             entry.session.submit(mod)
         entry.session.drain()
@@ -89,11 +66,11 @@ class TestRecoverEntries:
         for name, index in original.items():
             assert fresh.get("t", name).worker.index == index
 
-    def test_multi_tenant_attribution_restored(self, tmp_path):
+    def test_multi_tenant_attribution_restored(self, tmp_path, clean_mods):
         registry = SessionRegistry(tmp_path / "d", workers=2)
         for tenant, spec in (("acme", SPEC), ("bravo", SPEC_B)):
             entry = registry.create(tenant, "s", spec, k=3)
-            for mod in _clean_mods(20, spec=spec):
+            for mod in clean_mods(spec, 20):
                 entry.session.submit(mod)
             entry.session.drain()
             registry.settle_cycles(entry)
@@ -150,10 +127,10 @@ class TestRecoverEntries:
         assert fresh.recover_entries() == []
         assert len(fresh) == 1
 
-    def test_clean_shutdown_compacts_manifest(self, tmp_path):
+    def test_clean_shutdown_compacts_manifest(self, tmp_path, clean_mods):
         registry = SessionRegistry(tmp_path / "d", workers=1)
         entry = registry.create("t", "s", SPEC, k=2)
-        for mod in _clean_mods(8):
+        for mod in clean_mods(SPEC, 8):
             entry.session.submit(mod)
         entry.session.drain()
         entry.session.checkpoint()

@@ -4,13 +4,8 @@ import math
 
 import pytest
 
-from repro.graph.modifiers import EdgeInsert
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.registry import (
-    SessionRegistry,
-    build_graph,
-    partition_sha256,
-)
+from repro.serve.registry import SessionRegistry, partition_sha256
 from repro.serve.shedding import LoadShedder, ShedPolicy
 from repro.serve.supervision import WorkerSupervisor
 from repro.utils.errors import ServeError
@@ -19,24 +14,6 @@ SPEC = {
     "generator": "circuit",
     "args": {"num_vertices": 120, "edge_ratio": 1.3, "seed": 7},
 }
-
-
-def _clean_mods(n, nv=120):
-    """Insert-only edges absent from SPEC's graph: replay-exact cycle
-    parity holds only for poison-free streams (a quarantined modifier
-    is real work failover intentionally does not replay)."""
-    graph = build_graph(SPEC)
-    out, seen, candidate = [], set(), 0
-    while len(out) < n:
-        u = candidate % nv
-        v = (u + 17 + candidate // nv) % nv
-        candidate += 1
-        key = (min(u, v), max(u, v))
-        if u == v or key in seen or graph.has_edge(u, v):
-            continue
-        seen.add(key)
-        out.append(EdgeInsert(u=u, v=v))
-    return out
 
 
 @pytest.fixture
@@ -75,10 +52,10 @@ class TestHealth:
 
 
 class TestFailover:
-    def test_sessions_restored_onto_survivor(self, pool):
+    def test_sessions_restored_onto_survivor(self, pool, clean_mods):
         registry, metrics, _, supervisor = pool
         entry = registry.create("t", "s", SPEC, k=3, seed=4)
-        for mod in _clean_mods(25):
+        for mod in clean_mods(SPEC, 25):
             entry.session.submit(mod)
         entry.session.drain()
         registry.settle_cycles(entry)

@@ -9,34 +9,15 @@ shows the session's whole afterlife.
 
 import pytest
 
-from repro.graph.modifiers import EdgeInsert
 from repro.obs.distrib import TraceRecorder, make_trace_id
 from repro.serve import ServeClient, ServerConfig, ServerThread
-from repro.serve.registry import SessionRegistry, build_graph
+from repro.serve.registry import SessionRegistry
 from repro.serve.wal import ServeWAL
 
 SPEC = {
     "generator": "circuit",
     "args": {"num_vertices": 96, "edge_ratio": 1.3, "seed": 11},
 }
-
-
-def _clean_mods(n, spec=SPEC, start=0):
-    """Insert-only edges absent from ``spec``'s graph, so replay
-    cost accounting is exact (no poisoned modifiers)."""
-    nv = spec["args"]["num_vertices"]
-    graph = build_graph(spec)
-    out, seen, candidate = [], set(), start
-    while len(out) < n:
-        u = candidate % nv
-        v = (u + 17 + candidate // nv) % nv
-        candidate += 1
-        key = (min(u, v), max(u, v))
-        if u == v or key in seen or graph.has_edge(u, v):
-            continue
-        seen.add(key)
-        out.append(EdgeInsert(u=u, v=v))
-    return out
 
 
 def _create_trace_ids(recorder):
@@ -53,7 +34,7 @@ def _replay_spans(recorder, name):
 
 
 class TestRecoveryReplayTrace:
-    def test_boot_recovery_reattaches_origin_trace(self, tmp_path):
+    def test_boot_recovery_reattaches_origin_trace(self, tmp_path, clean_mods):
         data_dir = str(tmp_path / "d")
         first = TraceRecorder(session="run-1")
         with ServerThread(
@@ -68,7 +49,7 @@ class TestRecoveryReplayTrace:
                 trace_recorder=first,
             ) as client:
                 client.create("s", SPEC, k=3, seed=4)
-                client.submit("s", _clean_mods(12))
+                client.submit("s", clean_mods(SPEC, 12))
                 client.flush("s")
         origins = _create_trace_ids(first)
         assert len(origins) == 1
@@ -93,7 +74,9 @@ class TestRecoveryReplayTrace:
         assert replay.trace["op"] == "replay"
         assert "worker" in replay.trace
 
-    def test_recovered_session_groups_with_its_create(self, tmp_path):
+    def test_recovered_session_groups_with_its_create(
+        self, tmp_path, clean_mods
+    ):
         """With ONE recorder across both runs, traces() puts the
         create and its recovery replay in the same group."""
         data_dir = str(tmp_path / "d")
@@ -110,7 +93,7 @@ class TestRecoveryReplayTrace:
                 trace_recorder=recorder,
             ) as client:
                 client.create("s", SPEC, k=2, seed=9)
-                client.submit("s", _clean_mods(8))
+                client.submit("s", clean_mods(SPEC, 8))
                 client.flush("s")
         with ServerThread(
             ServerConfig(
@@ -129,7 +112,7 @@ class TestRecoveryReplayTrace:
 
 
 class TestFailoverReplayTrace:
-    def test_failover_replays_under_origin_traces(self, tmp_path):
+    def test_failover_replays_under_origin_traces(self, tmp_path, clean_mods):
         recorder = TraceRecorder(session="failover")
         config = ServerConfig(
             workers=2,
@@ -148,8 +131,8 @@ class TestFailoverReplayTrace:
                 # on worker 0.
                 client.create("a", SPEC, k=3, seed=1)
                 client.create("b", SPEC, k=3, seed=2)
-                client.submit("a", _clean_mods(10))
-                client.submit("b", _clean_mods(10, start=40))
+                client.submit("a", clean_mods(SPEC, 10))
+                client.submit("b", clean_mods(SPEC, 10, start=40))
                 client.flush("a")
                 client.flush("b")
                 before_a = client.digest("a")["sha256"]
@@ -186,14 +169,14 @@ class TestOriginTracePersistence:
         assert ("acme", "untr") not in state.origin_traces
 
     def test_untraced_create_falls_back_to_counter_zero(
-        self, tmp_path
+        self, tmp_path, clean_mods
     ):
         """Sessions created without a client trace (pre-tracing WALs,
         untraced clients) still replay under a deterministic id."""
         data_dir = tmp_path / "d"
         registry = SessionRegistry(data_dir, workers=1)
         entry = registry.create("acme", "s", SPEC, k=2, seed=3)
-        for mod in _clean_mods(6):
+        for mod in clean_mods(SPEC, 6):
             entry.session.submit(mod)
         entry.session.drain()
         registry.settle_cycles(entry)

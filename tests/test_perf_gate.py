@@ -31,7 +31,7 @@ def test_missing_cut_size_phase_fails(perf_gate):
     check vacuously."""
     fresh = _record()
     del fresh["host_seconds"]["cut-size"]
-    failures = perf_gate.compare(_record(), fresh, 0.2)
+    failures = perf_gate.compare(_record(), fresh)
     assert len(failures) == 1
     assert "cut-size" in failures[0]
 
@@ -39,6 +39,6 @@ def test_missing_cut_size_phase_fails(perf_gate):
 def test_slow_cut_read_fails(perf_gate):
     fresh = _record()
     fresh["host_seconds"]["cut-size"] = 0.3
-    failures = perf_gate.compare(_record(), fresh, 0.2)
+    failures = perf_gate.compare(_record(), fresh)
     assert len(failures) == 1
     assert "no longer incremental" in failures[0]

@@ -1,33 +1,39 @@
 """Static-analysis and sanitizer gate — the third leg of ``make check``.
 
-Five stages, each independently pass/fail:
+Six stages, each independently pass/fail:
 
 1. **Lint** — run the ``repro-lint`` rule pack over ``src``, ``tools``,
    ``benchmarks`` and ``examples`` (NOT ``tests`` — lint fixtures there
-   violate rules on purpose) and subtract the checked-in baseline
-   ``tools/analysis_baseline.json``.  Any new finding, or any stale
-   baseline entry, fails.
+   violate rules on purpose).  Any finding fails; an intentional one
+   is suppressed in-source with ``# repro-lint: allow[rule-id] reason``.
 2. **Effects self-test** — every interprocedural invariant must fire on
    its seeded-bad fixture tree and stay silent on the corrected twin
-   (the repo-wide pass itself runs in ``tools/effects_gate.py``).
-3. **Sanitizer self-test** — the deliberately racy fixture kernels must
-   be flagged (a silent sanitizer would let stage 4 pass vacuously) and
+   (see :mod:`repro.analysis.effects.fixtures`).  A checker that cannot
+   re-find the seeded bugs would let stage 3 pass vacuously.
+3. **Repo-wide effects** — call-graph construction + effect inference +
+   invariant checking over ``src/repro``.  Any finding fails, and so
+   does a pass slower than ``EFFECTS_BUDGET_SECONDS``: an analysis too
+   slow for ``make check`` would get skipped, and a skipped gate is no
+   gate.
+4. **Sanitizer self-test** — the deliberately racy fixture kernels must
+   be flagged (a silent sanitizer would let stage 5 pass vacuously) and
    the clean fixture must produce zero findings (no false positives).
-4. **Sanitized sweep** — the seeded bench_common workload runs under
+5. **Sanitized sweep** — the seeded bench_common workload runs under
    shadow-memory mode twice; zero race findings and bit-identical
    access-trace digests are required.
-5. **Third-party tools** — ``ruff check`` and ``mypy`` run when the
+6. **Third-party tools** — ``ruff check`` and ``mypy`` run when the
    executables exist; when they are not installed the stage is skipped
    with a notice (the container does not ship them), never failed.
 
 A per-rule timing and finding-count summary is written to
-``results/analysis.txt`` so ``tools/build_experiments_md.py`` can fold
-it into EXPERIMENTS.md.
+``results/analysis.txt``, and the deterministic effects report
+(call-graph stats, per-invariant timing, findings) to
+``results/effects.txt``; ``tools/build_experiments_md.py`` folds both
+into EXPERIMENTS.md.
 
 Usage::
 
-    python tools/analysis_gate.py            # run all stages
-    python tools/analysis_gate.py --skip-external
+    python tools/analysis_gate.py
 
 Exit status 0 = pass, 1 = any stage failed.
 """
@@ -45,10 +51,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import (  # noqa: E402
-    Baseline,
-    Finding,
-    get_rules,
+from repro.analysis import Finding, get_rules  # noqa: E402
+from repro.analysis.effects import (  # noqa: E402
+    EffectsReport,
+    format_report,
+    run_effects_analysis,
 )
 from repro.analysis.lintcore import (  # noqa: E402
     iter_python_files,
@@ -65,17 +72,17 @@ from repro.analysis.fixtures import (  # noqa: E402
 from repro.analysis.sweep import check_determinism  # noqa: E402
 
 LINT_TARGETS = ("src", "tools", "benchmarks", "examples")
-BASELINE_PATH = REPO_ROOT / "tools" / "analysis_baseline.json"
 SUMMARY_PATH = REPO_ROOT / "results" / "analysis.txt"
+EFFECTS_REPORT_PATH = REPO_ROOT / "results" / "effects.txt"
+EFFECTS_BUDGET_SECONDS = 10.0
 
-#: (rule id, seconds, total findings pre-baseline) per lint rule —
+#: (rule id, seconds, findings) per lint rule —
 #: filled by stage_lint, rendered by write_summary.
 _rule_rows: list[tuple[str, float, int]] = []
 
 
 def stage_lint() -> list[str]:
     targets = [REPO_ROOT / t for t in LINT_TARGETS if (REPO_ROOT / t).exists()]
-    baseline = Baseline.load(BASELINE_PATH)
     # Parse every module once, then time each rule across the parsed
     # set — findings are identical to one combined lint_paths pass
     # (rules are independent), but the summary gets per-rule wall time
@@ -110,26 +117,32 @@ def stage_lint() -> list[str]:
         _rule_rows.append((rule.id, elapsed, len(rule_findings)))
         findings.extend(rule_findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    # Baseline keys are repo-relative; lint_paths reports the paths it
-    # was given, so relativize before filtering.
-    findings = [
-        Finding(
-            rule=f.rule,
-            path=Path(f.path).resolve().relative_to(REPO_ROOT).as_posix(),
-            line=f.line,
-            message=f.message,
-            symbol=f.symbol,
-        )
-        for f in findings
-    ]
-    new, stale = baseline.filter(findings)
-    failures = [f"new lint finding: {f}" for f in new]
-    failures.extend(f"stale baseline entry: {s}" for s in stale)
-    return failures
+    return [f"lint finding: {f}" for f in findings]
 
 
 def stage_effects_selftest() -> list[str]:
     return [f"effects self-test: {f}" for f in run_effects_selftest()]
+
+
+def stage_effects(notices: list[str]) -> list[str]:
+    """The repo-wide effects pass; writes results/effects.txt."""
+    findings, timing = run_effects_analysis([REPO_ROOT / "src" / "repro"])
+    failures = [f"effects finding: {f}" for f in findings]
+    notices.append(
+        f"effects: {timing.n_functions} functions, "
+        f"{len(findings)} finding(s), {timing.total_seconds:.2f}s"
+    )
+    if timing.total_seconds > EFFECTS_BUDGET_SECONDS:
+        failures.append(
+            f"performance budget exceeded: {timing.total_seconds:.2f}s "
+            f"> {EFFECTS_BUDGET_SECONDS:.0f}s"
+        )
+    EFFECTS_REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    report = EffectsReport(findings=findings, timing=timing)
+    EFFECTS_REPORT_PATH.write_text(
+        format_report(report, timing.engine), encoding="utf-8"
+    )
+    return failures
 
 
 def write_summary() -> None:
@@ -141,9 +154,6 @@ def write_summary() -> None:
     total_s = sum(r[1] for r in _rule_rows)
     total_n = sum(r[2] for r in _rule_rows)
     lines.append(f"{'total':24s} {round(total_s, 4):>9} {total_n:>9}")
-    lines.append("")
-    lines.append("(findings are pre-baseline; the gate subtracts")
-    lines.append("tools/analysis_baseline.json before failing)")
     SUMMARY_PATH.parent.mkdir(parents=True, exist_ok=True)
     SUMMARY_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -182,10 +192,9 @@ def stage_sweep() -> list[str]:
     return failures
 
 
-def stage_external() -> tuple[list[str], list[str]]:
-    """Run ruff/mypy when available.  Returns (failures, notices)."""
+def stage_external(notices: list[str]) -> list[str]:
+    """Run ruff/mypy when available."""
     failures: list[str] = []
-    notices: list[str] = []
     commands = {
         "ruff": ["ruff", "check", "src", "tools", "benchmarks"],
         "mypy": ["mypy", "--config-file", "pyproject.toml"],
@@ -200,32 +209,21 @@ def stage_external() -> tuple[list[str], list[str]]:
         if proc.returncode != 0:
             tail = (proc.stdout + proc.stderr).strip().splitlines()[-15:]
             failures.append(f"{tool} failed:\n  " + "\n  ".join(tail))
-    return failures, notices
+    return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--skip-external",
-        action="store_true",
-        help="skip the ruff/mypy stage even when the tools are installed",
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    notices: list[str] = []
     stages: list[tuple[str, list[str]]] = [
         ("lint", stage_lint()),
         ("effects self-test", stage_effects_selftest()),
+        ("repo-wide effects", stage_effects(notices)),
         ("sanitizer self-test", stage_selftest()),
         ("sanitized sweep", stage_sweep()),
+        ("external tools", stage_external(notices)),
     ]
     write_summary()
-    notices: list[str] = []
-    if args.skip_external:
-        notices.append("external tools skipped (--skip-external)")
-    else:
-        ext_failures, ext_notices = stage_external()
-        stages.append(("external tools", ext_failures))
-        notices.extend(ext_notices)
 
     failed = False
     for name, failures in stages:

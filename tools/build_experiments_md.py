@@ -21,40 +21,6 @@ def artifact(name: str) -> str:
     return path.read_text().rstrip()
 
 
-def obs_artifact() -> str:
-    """The obs-gate trace summary; optional (tracing is opt-in)."""
-    path = RESULTS / "obs.txt"
-    if not path.exists():
-        return (
-            "(no trace captured on this run; "
-            "`python tools/obs_gate.py` writes results/obs.txt)"
-        )
-    return path.read_text().rstrip()
-
-
-def serve_artifact() -> str:
-    """The serve-gate report; optional (serving is opt-in)."""
-    path = RESULTS / "serve.txt"
-    if not path.exists():
-        return (
-            "(no serving run captured; "
-            "`python tools/serve_gate.py` writes results/serve.txt)"
-        )
-    return path.read_text().rstrip()
-
-
-def serve_chaos_artifact() -> str:
-    """The serve chaos-gate report; optional (serving is opt-in)."""
-    path = RESULTS / "serve_chaos.txt"
-    if not path.exists():
-        return (
-            "(no chaos run captured; "
-            "`python tools/serve_chaos_gate.py` writes "
-            "results/serve_chaos.txt)"
-        )
-    return path.read_text().rstrip()
-
-
 def optional_artifact(name: str, command: str) -> str:
     """A results/ artifact that an opt-in gate writes; absent is fine."""
     path = RESULTS / f"{name}.txt"
@@ -93,15 +59,14 @@ def main() -> int:
         "<<ABLATIONS>>": artifact("ablations"),
         "<<SELFCHECK>>": artifact("selfcheck"),
         "<<VARIANCE>>": artifact("variance"),
-        "<<OBSTRACE>>": obs_artifact(),
+        "<<OBSTRACE>>": optional_artifact("obs", "python tools/obs_gate.py"),
         "<<EFFECTS>>": optional_artifact(
-            "effects", "python tools/effects_gate.py"
+            "effects", "python tools/analysis_gate.py"
         ),
         "<<ANALYSIS>>": optional_artifact(
             "analysis", "python tools/analysis_gate.py"
         ),
-        "<<SERVE>>": serve_artifact(),
-        "<<SERVECHAOS>>": serve_chaos_artifact(),
+        "<<SERVE>>": optional_artifact("serve", "python tools/serve_gate.py"),
         "<<GRAPHS>>": graph_inventory(),
     }
     for key, value in substitutions.items():

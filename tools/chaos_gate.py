@@ -67,6 +67,9 @@ from repro.utils.faultinject import (
 
 POISON_CLASSES = ("duplicate_edge", "missing_edge", "dead_vertex_op")
 
+#: Seed of every scenario's graph, fault injector and traffic.
+SEED = 7
+
 MODES = ("warp", "vector")
 
 
@@ -499,7 +502,6 @@ def main(argv=None):
         action="store_true",
         help="reduced scale for CI / the verify loop",
     )
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -526,7 +528,7 @@ def main(argv=None):
         ("journal recovery", scenario_journal, journal_scale),
     ]
     for name, fn, scale in scenarios:
-        scenario_failures, summary = fn(seed=args.seed, **scale)
+        scenario_failures, summary = fn(seed=SEED, **scale)
         status = "FAIL" if scenario_failures else "ok"
         print(f"chaos[{name}] {status}: {summary}")
         failures.extend(scenario_failures)

@@ -18,7 +18,7 @@ guarantees the rest of the tooling builds on:
   untraced run's exactly (spans observe cost, they never charge it);
 * **zero-cost when off** — with no tracer active, ``obs.span`` is one
   module-global read; the gate times the disabled path and fails if a
-  no-op span costs more than ``--max-off-ns`` (generous bound so a
+  no-op span costs more than ``MAX_OFF_NS`` (generous bound so a
   loaded machine cannot flake the gate, tight enough to catch
   accidental work on the disabled path).
 
@@ -27,8 +27,7 @@ and ``results/obs.txt`` (consumed by ``tools/build_experiments_md.py``).
 
 Usage::
 
-    python tools/obs_gate.py             # run all checks
-    python tools/obs_gate.py --no-write  # skip the results/ artifacts
+    python tools/obs_gate.py
 
 Exit status 0 = pass, 1 = contract violation.
 """
@@ -69,6 +68,10 @@ REQUIRED_SPANS = ("modifiers", "balance", "refine", "refine.commit")
 
 #: Relative slack for float accumulation in the sum-to-ledger check.
 SUM_EPSILON = 1e-9
+
+#: Ceiling on one disabled span() in nanoseconds: a no-op context
+#: manager plus one global read is ~1µs in CPython.
+MAX_OFF_NS = 5_000.0
 
 
 def run_traced(workload: dict) -> tuple[Tracer, object]:
@@ -179,7 +182,7 @@ def check_ledger_neutrality(traced_ledger, untraced_ledger) -> list[str]:
     return failures
 
 
-def check_disabled_overhead(max_off_ns: float) -> tuple[list[str], float]:
+def check_disabled_overhead() -> tuple[list[str], float]:
     """Time ``obs.span`` with no active tracer; must stay unmeasurable."""
     n = 200_000
     # Warm up, then measure the no-op path.
@@ -191,11 +194,11 @@ def check_disabled_overhead(max_off_ns: float) -> tuple[list[str], float]:
         with span("obs-gate.off"):
             pass
     per_call_ns = (time.perf_counter() - t0) / n * 1e9
-    if per_call_ns > max_off_ns:
+    if per_call_ns > MAX_OFF_NS:
         return (
             [
                 f"tracing-off span cost {per_call_ns:.0f}ns/call exceeds "
-                f"{max_off_ns:.0f}ns — the disabled path must stay a "
+                f"{MAX_OFF_NS:.0f}ns — the disabled path must stay a "
                 "single global read"
             ],
             per_call_ns,
@@ -203,31 +206,13 @@ def check_disabled_overhead(max_off_ns: float) -> tuple[list[str], float]:
     return [], per_call_ns
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--max-off-ns", type=float, default=5_000.0,
-        help="ceiling on one disabled span() in nanoseconds "
-        "(default %(default)s; a no-op context manager plus one "
-        "global read is ~1µs in CPython)",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true",
-        help="skip writing results/obs_trace.jsonl and results/obs.txt",
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
     first, first_ledger = run_traced(WORKLOAD)
     second, _ = run_traced(WORKLOAD)
     untraced_ledger = run_untraced(WORKLOAD)
 
-    import tempfile
-
-    if args.no_write:
-        tmp = tempfile.TemporaryDirectory()
-        trace_path = Path(tmp.name) / "obs_trace.jsonl"
-    else:
-        trace_path = REPO_ROOT / "results" / "obs_trace.jsonl"
+    trace_path = REPO_ROOT / "results" / "obs_trace.jsonl"
     write_trace(first, trace_path)
 
     failures = check_schema(trace_path)
@@ -236,21 +221,18 @@ def main(argv: list[str] | None = None) -> int:
     failures += check_deterministic_attribution(first, second)
     failures += check_sum_to_ledger(first, first_ledger)
     failures += check_ledger_neutrality(first_ledger, untraced_ledger)
-    off_failures, per_call_ns = check_disabled_overhead(args.max_off_ns)
+    off_failures, per_call_ns = check_disabled_overhead()
     failures += off_failures
 
-    summary = format_summary(first.events)
-    if not args.no_write:
-        out = REPO_ROOT / "results" / "obs.txt"
-        out.write_text(
-            "repro.obs gate summary "
-            f"(|V|={WORKLOAD['n_vertices']}, "
-            f"batches={WORKLOAD['batches']}, seed={WORKLOAD['seed']}, "
-            f"k={WORKLOAD['k']})\n"
-            f"tracing-off span cost: {per_call_ns:.0f} ns/call\n\n"
-            + summary
-            + "\n"
-        )
+    (REPO_ROOT / "results" / "obs.txt").write_text(
+        "repro.obs gate summary "
+        f"(|V|={WORKLOAD['n_vertices']}, "
+        f"batches={WORKLOAD['batches']}, seed={WORKLOAD['seed']}, "
+        f"k={WORKLOAD['k']})\n"
+        f"tracing-off span cost: {per_call_ns:.0f} ns/call\n\n"
+        + format_summary(first.events)
+        + "\n"
+    )
 
     n_spans = sum(1 for e in first.events if e.kind == "span")
     n_kernels = sum(1 for e in first.events if e.kind == "kernel")

@@ -9,8 +9,8 @@ and compares it against the ``gate`` section of the checked-in
   A mismatch means the cost-parity or bit-identity contract broke, not
   that the machine is slow, so it always fails the gate.
 * **host wall-clock** — the sweep must not regress more than
-  ``--tolerance`` (default 20%) over the baseline, with an absolute
-  floor so sub-100ms jitter on a loaded machine cannot flake the gate.
+  ``TOLERANCE`` (20%) over the baseline, with an absolute floor so
+  sub-100ms jitter on a loaded machine cannot flake the gate.
 * **cut-size host fraction** — the per-batch cut read must stay an
   incremental O(k^2) lookup: its host time may not exceed
   ``CUT_HOST_FRACTION`` of the sweep (plus a jitter floor).  Before the
@@ -41,6 +41,8 @@ for entry in (REPO_ROOT / "src", REPO_ROOT / "benchmarks"):
 from bench_hotpath import run_hotpath  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_hotpath.json"
+# Allowed fractional host-time regression over the baseline sweep.
+TOLERANCE = 0.20
 # Below this absolute slack (seconds) a wall-clock difference is noise,
 # not a regression: the smoke sweep itself only takes tens of ms.
 ABSOLUTE_FLOOR = 0.05
@@ -62,7 +64,7 @@ def run_gate_workload(baseline_gate: dict) -> dict:
     )
 
 
-def compare(baseline_gate: dict, fresh: dict, tolerance: float) -> list[str]:
+def compare(baseline_gate: dict, fresh: dict) -> list[str]:
     """Return a list of failure messages (empty = gate passes)."""
     failures: list[str] = []
 
@@ -83,11 +85,11 @@ def compare(baseline_gate: dict, fresh: dict, tolerance: float) -> list[str]:
 
     base_host = baseline_gate["host_seconds"]["sweep_total"]
     fresh_host = fresh["host_seconds"]["sweep_total"]
-    limit = base_host * (1.0 + tolerance) + ABSOLUTE_FLOOR
+    limit = base_host * (1.0 + TOLERANCE) + ABSOLUTE_FLOOR
     if fresh_host > limit:
         failures.append(
             f"host sweep regressed: {fresh_host:.3f}s > "
-            f"{base_host:.3f}s * {1 + tolerance:.2f} + {ABSOLUTE_FLOOR}s"
+            f"{base_host:.3f}s * {1 + TOLERANCE:.2f} + {ABSOLUTE_FLOOR}s"
         )
 
     cut_host = fresh["host_seconds"].get("cut-size")
@@ -110,34 +112,26 @@ def compare(baseline_gate: dict, fresh: dict, tolerance: float) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
-        "--baseline", type=Path, default=BASELINE_PATH,
-        help="baseline JSON (default: repo-root BENCH_hotpath.json)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.20,
-        help="allowed fractional host-time regression (default 0.20)",
-    )
-    parser.add_argument(
         "--update", action="store_true",
         help="re-measure and rewrite the baseline's gate section",
     )
     args = parser.parse_args(argv)
 
-    if not args.baseline.exists():
-        print(f"perf-gate: baseline {args.baseline} not found", file=sys.stderr)
+    if not BASELINE_PATH.exists():
+        print(f"perf-gate: baseline {BASELINE_PATH} not found", file=sys.stderr)
         return 1
-    baseline = json.loads(args.baseline.read_text())
+    baseline = json.loads(BASELINE_PATH.read_text())
     gate = baseline["gate"]
 
     fresh = run_gate_workload(gate)
 
     if args.update:
         baseline["gate"] = fresh
-        args.baseline.write_text(json.dumps(baseline, indent=2) + "\n")
-        print(f"perf-gate: baseline gate section updated in {args.baseline}")
+        BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
+        print(f"perf-gate: baseline gate section updated in {BASELINE_PATH}")
         return 0
 
-    failures = compare(gate, fresh, args.tolerance)
+    failures = compare(gate, fresh)
     base_host = gate["host_seconds"]["sweep_total"]
     fresh_host = fresh["host_seconds"]["sweep_total"]
     print(
