@@ -4,13 +4,19 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: check test perf-gate chaos-smoke analysis-gate obs-gate serve-gate lint effects chaos bench
+.PHONY: check test leak-check perf-gate chaos-smoke analysis-gate obs-gate serve-gate lint effects chaos bench
 
-## The pre-merge bar: full test suite + all five deterministic gates.
-check: test perf-gate chaos-smoke analysis-gate obs-gate serve-gate
+## The pre-merge bar: full test suite, the file-handle leak check and
+## all five deterministic gates.
+check: test leak-check perf-gate chaos-smoke analysis-gate obs-gate serve-gate
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Checkpoint and journal tests under -X dev, failing on any file left
+## open (pytest's own -W, because pytest overrides the interpreter's).
+leak-check:
+	$(PYTHON) -X dev -m pytest -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning tests/core/test_serialize.py tests/stream/test_journal.py
 
 perf-gate:
 	$(PYTHON) tools/perf_gate.py

@@ -91,7 +91,9 @@ class IGKway:
     """Incremental k-way graph partitioner on the simulated GPU.
 
     Args:
-        csr: The initial graph.
+        csr: The initial graph (None only for a partitioner restored
+            by :meth:`from_state`, which has nothing to fully
+            partition).
         config: Partitioning configuration (k, epsilon, gamma, mode, ...).
         ctx: Optional shared GPU context; a fresh one is created if
             omitted.
@@ -106,7 +108,7 @@ class IGKway:
 
     def __init__(
         self,
-        csr: CSRGraph,
+        csr: CSRGraph | None,
         config: PartitionConfig,
         ctx: GpuContext | None = None,
         device: DeviceSpec = A6000,
@@ -131,10 +133,39 @@ class IGKway:
         #: Sanitizer mode: assert incremental cut == pool scan per batch.
         self.verify_cut_scan = bool(verify_cut_scan)
 
+    @classmethod
+    def from_state(
+        cls,
+        graph: BucketListGraph,
+        partition: np.ndarray,
+        config: PartitionConfig,
+        iterations_applied: int,
+        ctx: GpuContext | None = None,
+    ) -> "IGKway":
+        """Resume from restored device state (a loaded checkpoint).
+
+        The result continues exactly where the saved partitioner
+        stopped, with a fresh cost ledger.  It keeps no initial CSR, so
+        :meth:`full_partition` raises; re-partitioning the live graph is
+        :class:`~repro.core.adaptive.AdaptiveIGKway`'s job.
+        """
+        partitioner = cls(None, config, ctx=ctx)
+        partitioner.graph = graph
+        partitioner.state = PartitionState(
+            partition, graph.vwgt, config.k, config.epsilon
+        )
+        partitioner.iterations_applied = iterations_applied
+        return partitioner
+
     # -- stage 1: full partitioning -------------------------------------------
 
     def full_partition(self) -> FullPartitionReport:
         """Run G-kway with constrained coarsening; upload the bucket list."""
+        if self.initial_csr is None:
+            raise PartitionError(
+                "full_partition() needs the initial graph; this "
+                "partitioner was restored from device state"
+            )
         ledger = self.ctx.ledger
         before = ledger.snapshot()
         with ledger.section("full_partitioning"), span("full-partition"):

@@ -4,17 +4,30 @@ Long-running CAD sessions (the paper's motivating applications run
 "thousands or even millions of incremental iterations") need to park and
 resume partitioner state.  ``save_partitioner`` serializes everything a
 running :class:`~repro.core.igkway.IGKway` holds — the bucket-list
-arrays, the partition assignment, and the configuration — into a single
-compressed ``.npz``; ``load_partitioner`` reconstitutes an equivalent
+graph, the partition assignment, and the configuration — into a single
+uncompressed ``.npz``; ``load_partitioner`` reconstitutes an equivalent
 partitioner (with a fresh cost ledger) that continues exactly where the
 saved one stopped.
 
-Format version 2 adds an optional *stream metadata* JSON payload used by
+Format version 3 (the only one written) stores the bucket pool as its
+filled slots: their positions inside the used prefix, their neighbour
+IDs and their weights (:meth:`BucketListGraph.filled_slots`).  The pool
+is pre-allocated with spare buckets and tail slack (Section V.A), so
+only a few percent of its slots hold an edge; saving and loading scale
+with the live graph, not the pool.  Loading scatters the slots back
+into a fresh pool at their original positions, so ``__ffs`` slot
+choices and :func:`~repro.core.transaction.state_digest` come back
+bit-identical.  The archive is stored, not compressed: zlib was most of
+a format-2 save, and zip's per-member CRC-32 still rejects a damaged
+file.
+
+Version 2 added an optional *stream metadata* JSON payload used by
 :mod:`repro.stream` to persist its journal cursor (the sequence number
 of the last applied modifier) and the adaptive-trigger state alongside
 the partitioner, so ``StreamSession.recover`` can replay exactly the
-un-checkpointed suffix of the modifier log.  Version-1 checkpoints are
-still loadable (their stream metadata is empty).
+un-checkpointed suffix of the modifier log.  Versions 1 and 2 stored
+the whole pool arrays; both still load (version 1 has no stream
+metadata).
 
 Derived state is *not* serialized: the incremental cut accumulator
 (:class:`~repro.partition.cutacc.CutAccumulator`) is reconstructible
@@ -34,19 +47,29 @@ import numpy as np
 
 from repro.core.igkway import IGKway
 from repro.gpusim.context import GpuContext
-from repro.graph.bucketlist import BucketListGraph
+from repro.graph.bucketlist import SLOTS_PER_BUCKET, BucketListGraph
 from repro.partition.config import PartitionConfig
-from repro.partition.state import PartitionState
 from repro.utils.errors import PartitionError
 
-#: Bumped whenever the on-disk layout changes.  Version 2 (this
-#: release) added the ``stream_meta_json`` payload.
-FORMAT_VERSION = 2
+#: Bumped whenever the on-disk layout changes.  Version 3 (this
+#: release) stores only the pool's filled slots.
+FORMAT_VERSION = 3
+
+#: How each readable version stores the bucket pool: whole arrays
+#: (1, 2) or the filled slots' positions, neighbours and weights (3).
+_POOL_KEYS = {
+    1: ("bucket_list", "slot_wgt"),
+    2: ("bucket_list", "slot_wgt"),
+    3: ("filled_pos", "filled_nbr", "filled_wgt"),
+}
 
 #: Versions ``load_partitioner`` can read.
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = tuple(_POOL_KEYS)
 
-#: Array keys every checkpoint must contain (both versions).
+#: Per-vertex arrays, each of length ``capacity`` in every version.
+_VERTEX_KEYS = ("bucket_start", "bucket_count", "vertex_status", "vwgt")
+
+#: Array keys every checkpoint must contain besides its pool keys.
 _REQUIRED_KEYS = (
     "format_version",
     "config_json",
@@ -55,12 +78,7 @@ _REQUIRED_KEYS = (
     "gamma",
     "num_vertices",
     "num_buckets_used",
-    "bucket_list",
-    "slot_wgt",
-    "bucket_start",
-    "bucket_count",
-    "vertex_status",
-    "vwgt",
+    *_VERTEX_KEYS,
     "partition",
     "iterations_applied",
 )
@@ -82,7 +100,8 @@ def save_partitioner(
         raise PartitionError("cannot save before full_partition()")
     config_json = json.dumps(dataclasses.asdict(partitioner.config))
     meta_json = json.dumps(stream_meta if stream_meta is not None else {})
-    np.savez_compressed(
+    positions, neighbors, weights = graph.filled_slots()
+    np.savez(
         Path(path),
         format_version=np.int64(FORMAT_VERSION),
         config_json=np.frombuffer(
@@ -96,8 +115,9 @@ def save_partitioner(
         gamma=np.int64(graph.gamma),
         num_vertices=np.int64(graph.num_vertices),
         num_buckets_used=np.int64(graph.num_buckets_used),
-        bucket_list=graph.bucket_list,
-        slot_wgt=graph.slot_wgt,
+        filled_pos=positions,
+        filled_nbr=neighbors,
+        filled_wgt=weights,
         bucket_start=graph.bucket_start,
         bucket_count=graph.bucket_count,
         vertex_status=graph.vertex_status,
@@ -115,11 +135,12 @@ def load_partitioner(
     The returned partitioner has a fresh cost ledger (timing state is
     not part of the checkpoint) but identical graph and partition state,
     so subsequent ``apply`` calls produce the same results the original
-    would have.
+    would have.  It keeps no initial CSR, so ``full_partition`` raises.
 
     Raises :class:`~repro.utils.errors.PartitionError` — never a bare
-    ``KeyError`` or ``zipfile`` error — on a missing file, a truncated
-    or corrupt archive, or an unsupported format version.
+    ``KeyError``, ``IndexError`` or ``zipfile`` error — on a missing
+    file, a truncated or corrupt archive, arrays of the wrong size or an
+    unsupported format version.
     """
     partitioner, _meta = load_checkpoint(path, ctx=ctx)
     return partitioner
@@ -135,9 +156,10 @@ def load_checkpoint(
     """
     path = Path(path)
     try:
-        with np.load(path) as data:
+        # np.load keeps a path's file open if the archive fails to
+        # parse; opening it here closes it on every outcome.
+        with path.open("rb") as handle, np.load(handle) as data:
             files = set(data.files)
-            missing = [k for k in _REQUIRED_KEYS if k not in files]
             if "format_version" not in files:
                 raise PartitionError(
                     f"{path}: not an iG-kway checkpoint "
@@ -149,6 +171,11 @@ def load_checkpoint(
                     f"checkpoint format {version} unsupported "
                     f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
                 )
+            missing = [
+                k
+                for k in (*_REQUIRED_KEYS, *_POOL_KEYS[version])
+                if k not in files
+            ]
             if missing:
                 raise PartitionError(
                     f"{path}: truncated checkpoint, missing fields: "
@@ -170,13 +197,27 @@ def load_checkpoint(
             )
             graph.num_vertices = int(data["num_vertices"])
             graph.num_buckets_used = int(data["num_buckets_used"])
-            graph.bucket_list = data["bucket_list"].copy()
-            graph.slot_wgt = data["slot_wgt"].copy()
-            graph.bucket_start = data["bucket_start"].copy()
-            graph.bucket_count = data["bucket_count"].copy()
-            graph.vertex_status = data["vertex_status"].copy()
-            graph.vwgt = data["vwgt"].copy()
-            partition = data["partition"].copy()
+            if not 0 <= graph.num_vertices <= graph.capacity:
+                raise PartitionError(
+                    f"{path}: num_vertices {graph.num_vertices} outside "
+                    f"the vertex capacity {graph.capacity}"
+                )
+            if not 0 <= graph.num_buckets_used <= graph.pool_buckets:
+                raise PartitionError(
+                    f"{path}: num_buckets_used {graph.num_buckets_used} "
+                    f"outside the pool of {graph.pool_buckets} buckets"
+                )
+            for key in _VERTEX_KEYS:
+                setattr(graph, key, _read_sized(data, key, graph.capacity))
+            partition = _read_sized(data, "partition", graph.capacity)
+            if version >= 3:
+                graph.scatter_filled_slots(
+                    *(data[key] for key in _POOL_KEYS[version])
+                )
+            else:
+                pool_slots = graph.pool_buckets * SLOTS_PER_BUCKET
+                for key in _POOL_KEYS[version]:
+                    setattr(graph, key, _read_sized(data, key, pool_slots))
             iterations = int(data["iterations_applied"])
     except PartitionError:
         raise
@@ -194,16 +235,24 @@ def load_checkpoint(
             f"{path}: truncated or corrupt checkpoint ({exc})"
         ) from exc
 
-    # Reconstruct a placeholder CSR of the original graph for the
-    # partitioner's provenance field (the live graph is the bucket list).
-    csr, _id_map = graph.to_csr()
-    partitioner = IGKway(csr, config, ctx=ctx)
-    partitioner.graph = graph
-    partitioner.state = PartitionState(
-        partition, graph.vwgt, config.k, config.epsilon
+    partitioner = IGKway.from_state(
+        graph, partition, config, iterations, ctx=ctx
     )
-    partitioner.iterations_applied = iterations
     return partitioner, stream_meta
+
+
+def _read_sized(
+    data: "np.lib.npyio.NpzFile", key: str, length: int
+) -> np.ndarray:
+    """``data[key]``, which must be a one-dimensional array of
+    ``length`` entries (a checkpoint from a graph of another size, or a
+    damaged one, must not load as a silently short array)."""
+    array = data[key]
+    if array.shape != (length,):
+        raise ValueError(
+            f"{key} has shape {array.shape}, expected ({length},)"
+        )
+    return array
 
 
 def export_partition_csv(

@@ -605,6 +605,67 @@ class BucketListGraph:
         self._note_bucket_assignment(u)
         return old_slots
 
+    # -- checkpoint encoding ------------------------------------------------------------
+
+    def filled_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(positions, neighbors, weights)`` of every filled pool slot.
+
+        Positions are strictly increasing and lie inside the used pool
+        prefix.  With the tail pointer and the per-vertex arrays they
+        encode the whole pool: every other slot is EMPTY with weight 0,
+        because each path that empties a slot also zeroes its weight and
+        nothing writes past the tail.  :meth:`scatter_filled_slots` is
+        the inverse.
+        """
+        used_slots = self.num_buckets_used * SLOTS_PER_BUCKET
+        positions = np.flatnonzero(self.bucket_list[:used_slots] != EMPTY)
+        return (
+            positions,
+            self.bucket_list[positions],
+            self.slot_wgt[positions],
+        )
+
+    def scatter_filled_slots(
+        self,
+        positions: np.ndarray,
+        neighbors: np.ndarray,
+        weights: np.ndarray,
+    ) -> None:
+        """Write slots encoded by :meth:`filled_slots` into this graph's
+        fresh, all-EMPTY pool, each at its original position — the first
+        empty slot a warp's ``__ffs`` finds is the same as before.
+
+        The arrays come from outside the program (a checkpoint file), so
+        they are checked first: three one-dimensional integer arrays of
+        equal length, positions strictly increasing inside the used pool
+        prefix ``[0, num_buckets_used * 32)``.  Raises ``ValueError``
+        otherwise.
+        """
+        arrays = (positions, neighbors, weights)
+        if len({a.shape for a in arrays}) != 1 or positions.ndim != 1:
+            raise ValueError(
+                "filled-slot arrays must be one-dimensional and of equal "
+                f"length, got shapes {[a.shape for a in arrays]}"
+            )
+        if not all(np.issubdtype(a.dtype, np.integer) for a in arrays):
+            raise ValueError(
+                "filled-slot arrays must have an integer dtype, got "
+                f"{[str(a.dtype) for a in arrays]}"
+            )
+        positions = positions.astype(np.int64, copy=False)
+        used_slots = self.num_buckets_used * SLOTS_PER_BUCKET
+        if positions.size and (
+            positions[0] < 0
+            or positions[-1] >= used_slots
+            or np.any(np.diff(positions) <= 0)
+        ):
+            raise ValueError(
+                "filled-slot positions must be strictly increasing inside "
+                f"the used pool prefix [0, {used_slots})"
+            )
+        self.bucket_list[positions] = neighbors
+        self.slot_wgt[positions] = weights
+
     # -- export / verification ----------------------------------------------------------
 
     def to_host_graph(self) -> HostGraph:

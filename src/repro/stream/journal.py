@@ -1,7 +1,7 @@
 """Checkpointed recovery journal for the streaming service.
 
 Layered on :mod:`repro.core.serialize`: the partitioner state goes into
-a periodic ``checkpoint.npz`` (format version 2, which carries the
+a periodic ``checkpoint.npz`` (format version 3, which carries the
 stream cursor as metadata) while every ingested modifier and every
 applied flush window is appended to ``journal.log`` as one JSON line.
 

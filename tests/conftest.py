@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -65,3 +68,41 @@ def random_csr(
     hi = np.maximum(src[mask], dst[mask])
     edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
     return CSRGraph.from_edges(n, edges)
+
+
+@pytest.fixture(scope="session")
+def save_legacy_checkpoint():
+    """``save(partitioner, path, version, stream_meta=None)``: write a
+    format-1 or format-2 checkpoint exactly as the writer before format
+    3 did — the whole pool arrays in a zlib-compressed ``.npz``, and
+    for version 1 no stream metadata payload."""
+
+    def save(partitioner, path, version, stream_meta=None):
+        assert version in (1, 2)
+        graph, state = partitioner.graph, partitioner.state
+        config_json = json.dumps(dataclasses.asdict(partitioner.config))
+        arrays = dict(
+            format_version=np.int64(version),
+            config_json=np.frombuffer(config_json.encode(), dtype=np.uint8),
+            capacity=np.int64(graph.capacity),
+            pool_buckets=np.int64(graph.pool_buckets),
+            gamma=np.int64(graph.gamma),
+            num_vertices=np.int64(graph.num_vertices),
+            num_buckets_used=np.int64(graph.num_buckets_used),
+            bucket_list=graph.bucket_list,
+            slot_wgt=graph.slot_wgt,
+            bucket_start=graph.bucket_start,
+            bucket_count=graph.bucket_count,
+            vertex_status=graph.vertex_status,
+            vwgt=graph.vwgt,
+            partition=state.partition,
+            iterations_applied=np.int64(partitioner.iterations_applied),
+        )
+        if version == 2:
+            meta_json = json.dumps(stream_meta or {})
+            arrays["stream_meta_json"] = np.frombuffer(
+                meta_json.encode(), dtype=np.uint8
+            )
+        np.savez_compressed(path, **arrays)
+
+    return save

@@ -1,16 +1,37 @@
 """Checkpoint save/restore and partition export."""
 
+import tempfile
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IGKway, PartitionConfig
 from repro.core.serialize import (
+    FORMAT_VERSION,
     export_partition_csv,
+    load_checkpoint,
     load_partitioner,
     save_partitioner,
 )
+from repro.core.transaction import state_digest
 from repro.eval.workloads import TraceConfig, generate_trace
+from repro.graph import (
+    EMPTY,
+    EdgeDelete,
+    EdgeInsert,
+    ModifierBatch,
+    VertexDelete,
+    VertexInsert,
+    circuit_graph,
+)
+from repro.graph.bucketlist import SLOTS_PER_BUCKET
+from repro.serve.registry import partition_sha256
 from repro.utils import PartitionError
+from repro.utils.faultinject import FaultInjector, InjectedAbort
 
 
 @pytest.fixture
@@ -24,6 +45,22 @@ def warm_partitioner(small_circuit):
     for batch in trace:
         ig.apply(batch)
     return ig
+
+
+def _digests(partitioner):
+    return (
+        state_digest(partitioner.graph, partitioner.state),
+        partition_sha256(partitioner.partition),
+    )
+
+
+def _rewrite(path, change):
+    """Rewrite the checkpoint at ``path``, replacing the arrays that
+    ``change(arrays)`` returns."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays.update(change(arrays))
+    np.savez(path, **arrays)
 
 
 class TestSaveLoad:
@@ -80,6 +117,22 @@ class TestSaveLoad:
         restored = load_partitioner(path)
         assert restored.config == warm_partitioner.config
 
+    def test_full_partition_refused_after_load(self, tmp_path):
+        # Re-partitioning needs the initial graph, which a checkpoint
+        # does not hold; it must not renumber the live vertex IDs.
+        csr = circuit_graph(400, 1.4, seed=1)
+        ig = IGKway(csr, PartitionConfig(k=2, seed=1))
+        ig.full_partition()
+        ig.apply(ModifierBatch([VertexDelete(5), VertexDelete(17)]))
+        path = tmp_path / "checkpoint.npz"
+        save_partitioner(ig, path)
+        restored = load_partitioner(path)
+        with pytest.raises(PartitionError, match="full_partition"):
+            restored.full_partition()
+        assert _digests(restored) == _digests(ig)
+        assert restored.graph.num_vertices == 400
+        assert not restored.graph.is_active(5)
+
     def test_save_before_partition_rejected(self, small_circuit,
                                             tmp_path):
         ig = IGKway(small_circuit, PartitionConfig(k=2))
@@ -120,20 +173,21 @@ class TestExport:
 
 
 class TestFormatV2:
-    """Version-2 checkpoints: stream metadata and robust failure modes."""
+    """Stream metadata (added in format 2), legacy files and robust
+    failure modes."""
 
-    def test_format_version_is_2(self, warm_partitioner, tmp_path):
-        from repro.core.serialize import FORMAT_VERSION
-
+    def test_format_version_is_3(self, warm_partitioner, tmp_path):
         path = tmp_path / "checkpoint.npz"
         save_partitioner(warm_partitioner, path)
         with np.load(path) as data:
-            assert int(data["format_version"]) == FORMAT_VERSION == 2
+            assert int(data["format_version"]) == FORMAT_VERSION == 3
             assert "stream_meta_json" in data.files
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
 
     def test_stream_meta_roundtrip(self, warm_partitioner, tmp_path):
-        from repro.core.serialize import load_checkpoint
-
         path = tmp_path / "checkpoint.npz"
         meta = {
             "applied_seq": 41,
@@ -146,30 +200,34 @@ class TestFormatV2:
         assert restored.cut_size() == warm_partitioner.cut_size()
 
     def test_meta_defaults_to_empty(self, warm_partitioner, tmp_path):
-        from repro.core.serialize import load_checkpoint
-
         path = tmp_path / "checkpoint.npz"
         save_partitioner(warm_partitioner, path)
         _restored, meta = load_checkpoint(path)
         assert meta == {}
 
-    def test_v1_file_still_loads(self, warm_partitioner, tmp_path):
-        # A version-1 checkpoint is one without the stream payload.
-        from repro.core.serialize import load_checkpoint
-
+    def test_v1_file_still_loads(
+        self, warm_partitioner, tmp_path, save_legacy_checkpoint
+    ):
         path = tmp_path / "checkpoint.npz"
-        save_partitioner(warm_partitioner, path)
-        with np.load(path) as data:
-            arrays = {
-                k: data[k]
-                for k in data.files
-                if k != "stream_meta_json"
-            }
-        arrays["format_version"] = np.int64(1)
-        np.savez_compressed(path, **arrays)
+        save_legacy_checkpoint(warm_partitioner, path, 1)
         restored, meta = load_checkpoint(path)
         assert meta == {}
+        assert _digests(restored) == _digests(warm_partitioner)
         assert restored.cut_size() == warm_partitioner.cut_size()
+
+    def test_v2_file_still_loads(
+        self, warm_partitioner, tmp_path, save_legacy_checkpoint
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_legacy_checkpoint(
+            warm_partitioner, path, 2, stream_meta={"applied_seq": 9}
+        )
+        restored, meta = load_checkpoint(path)
+        assert meta == {"applied_seq": 9}
+        assert _digests(restored) == _digests(warm_partitioner)
+        assert np.array_equal(
+            restored.graph.bucket_list, warm_partitioner.graph.bucket_list
+        )
 
     def test_missing_file_raises_partition_error(self, tmp_path):
         with pytest.raises(PartitionError, match="not found"):
@@ -208,4 +266,216 @@ class TestFormatV2:
         path = tmp_path / "other.npz"
         np.savez_compressed(path, unrelated=np.arange(4))
         with pytest.raises(PartitionError, match="format_version"):
+            load_partitioner(path)
+
+
+def _non_neighbors(graph, u, n):
+    """Up to ``n`` active vertices ``u`` has no edge to."""
+    return [
+        int(v)
+        for v in graph.active_vertices()
+        if v != u and not graph.has_edge(u, int(v))
+    ][:n]
+
+
+def _overflow_batch(graph, u, extra):
+    """Edge inserts filling ``u``'s free slots, plus ``extra`` more."""
+    free = int(graph.bucket_count[u]) * SLOTS_PER_BUCKET - graph.degree(u)
+    return ModifierBatch(
+        [EdgeInsert(u, v) for v in _non_neighbors(graph, u, free + extra)]
+    )
+
+
+#: Format-3 malformations: each rewrites a valid file's arrays, and
+#: the load error must name what is wrong.
+_MALFORMED_V3 = {
+    "unequal-lengths": (
+        lambda a: {"filled_nbr": a["filled_nbr"][:-1]},
+        "equal length",
+    ),
+    "float-dtype": (
+        lambda a: {"filled_pos": a["filled_pos"].astype(np.float64)},
+        "integer dtype",
+    ),
+    "positions-not-increasing": (
+        lambda a: {
+            "filled_pos": a["filled_pos"][
+                [1, 0, *range(2, a["filled_pos"].size)]
+            ]
+        },
+        "strictly increasing",
+    ),
+    "position-past-used-prefix": (
+        lambda a: {
+            "filled_pos": np.append(
+                a["filled_pos"][:-1],
+                a["num_buckets_used"] * SLOTS_PER_BUCKET,
+            )
+        },
+        "used pool prefix",
+    ),
+    "negative-position": (
+        lambda a: {"filled_pos": np.append(-1, a["filled_pos"][1:])},
+        "used pool prefix",
+    ),
+    "tail-past-pool": (
+        lambda a: {"num_buckets_used": a["pool_buckets"] + 1},
+        "num_buckets_used",
+    ),
+    "ids-past-capacity": (
+        lambda a: {"num_vertices": a["capacity"] + 1},
+        "num_vertices",
+    ),
+    "short-vertex-array": (
+        lambda a: {"vwgt": a["vwgt"][:-1]},
+        "vwgt has shape",
+    ),
+}
+
+#: Format-1/2 malformations; the whole pool arrays must fit the header.
+_MALFORMED_LEGACY = {
+    name: _MALFORMED_V3[name]
+    for name in ("tail-past-pool", "ids-past-capacity", "short-vertex-array")
+}
+_MALFORMED_LEGACY["short-pool-array"] = (
+    lambda a: {"slot_wgt": a["slot_wgt"][:-32]},
+    "slot_wgt has shape",
+)
+
+
+class TestFormatV3:
+    """Format 3 stores the pool as its filled slots only."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        extra=st.integers(1, 8),
+        abort_after=st.integers(1, 60),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_roundtrip_is_bit_identical(
+        self, save_legacy_checkpoint, seed, extra, abort_after
+    ):
+        csr = circuit_graph(120, 1.4, seed=seed)
+        live = IGKway(csr, PartitionConfig(k=3, seed=seed))
+        live.full_partition()
+        mix = {
+            "edge_insert": 0.3,
+            "edge_delete": 0.2,
+            "vertex_insert": 0.25,
+            "vertex_delete": 0.25,
+        }
+        for batch in generate_trace(
+            csr,
+            TraceConfig(
+                iterations=3,
+                modifiers_per_iteration=(5, 15),
+                mix=mix,
+                seed=seed,
+            ),
+        ):
+            live.apply(batch)
+        graph = live.graph
+        rng = np.random.default_rng(seed)
+        gone, hub, rolled_hub = map(
+            int, rng.permutation(graph.active_vertices())[:3]
+        )
+        # Delete a vertex, then re-insert it with new edges.
+        live.apply(ModifierBatch([VertexDelete(gone)]))
+        live.apply(
+            ModifierBatch(
+                [VertexInsert(gone)]
+                + [EdgeInsert(gone, v) for v in _non_neighbors(graph, gone, 3)]
+            )
+        )
+        # Overflow a vertex's buckets, relocating it to the pool tail.
+        start = int(graph.bucket_start[hub])
+        live.apply(_overflow_batch(graph, hub, extra))
+        assert int(graph.bucket_start[hub]) != start
+        # A batch that relocates another vertex aborts mid-kernel and
+        # rolls back.
+        before = state_digest(graph, live.state)
+        with FaultInjector().kernel_abort(graph, abort_after):
+            with pytest.raises(InjectedAbort):
+                live.apply(_overflow_batch(graph, rolled_hub, extra))
+        assert state_digest(graph, live.state) == before
+
+        with tempfile.TemporaryDirectory() as tmp:
+            save_partitioner(live, Path(tmp) / "v3.npz")
+            save_legacy_checkpoint(live, Path(tmp) / "v2.npz", 2)
+            v3 = load_partitioner(Path(tmp) / "v3.npz")
+            v2 = load_partitioner(Path(tmp) / "v2.npz")
+        assert _digests(v3) == _digests(live) == _digests(v2)
+        for name in ("bucket_list", "slot_wgt", "bucket_start",
+                     "bucket_count", "vertex_status", "vwgt"):
+            assert np.array_equal(
+                getattr(v3.graph, name), getattr(graph, name)
+            ), name
+
+        nbr = int(graph.neighbors(hub)[0])
+        batch = ModifierBatch(
+            [EdgeDelete(hub, nbr), VertexInsert(graph.num_vertices)]
+            + [EdgeInsert(gone, v) for v in _non_neighbors(graph, gone, 2)]
+        )
+        reports = [p.apply(batch) for p in (live, v3, v2)]
+        # Restored partitioners start on a fresh ledger, so only they
+        # agree on modeled seconds; every outcome matches the live one.
+        assert reports[1] == reports[2]
+        for field in ("cut", "balanced", "balance_stats", "refine_stats",
+                      "applied_modifiers"):
+            assert getattr(reports[1], field) == getattr(reports[0], field)
+        assert _digests(v3) == _digests(live) == _digests(v2)
+
+    def test_no_array_scales_with_the_pool(
+        self, warm_partitioner, tmp_path
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_partitioner(warm_partitioner, path)
+        graph = warm_partitioner.graph
+        filled = int(np.count_nonzero(graph.bucket_list != EMPTY))
+        bound = max(graph.capacity, filled)
+        assert bound < graph.pool_buckets * SLOTS_PER_BUCKET
+        with np.load(path) as data:
+            for key in data.files:
+                # The JSON payloads are text sized by the configuration
+                # and the stream metadata, not by the graph.
+                if not key.endswith("_json"):
+                    assert data[key].size <= bound, key
+
+    def test_mid_file_byte_flip_raises_partition_error(
+        self, warm_partitioner, tmp_path
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_partitioner(warm_partitioner, path)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PartitionError, match="CRC"):
+            load_partitioner(path)
+
+    @pytest.mark.parametrize("malformation", sorted(_MALFORMED_V3))
+    def test_malformed_file_raises_partition_error(
+        self, warm_partitioner, tmp_path, malformation
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_partitioner(warm_partitioner, path)
+        change, message = _MALFORMED_V3[malformation]
+        _rewrite(path, change)
+        with pytest.raises(PartitionError, match=message):
+            load_partitioner(path)
+
+    @pytest.mark.parametrize("malformation", sorted(_MALFORMED_LEGACY))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_malformed_legacy_file_raises_partition_error(
+        self,
+        warm_partitioner,
+        tmp_path,
+        save_legacy_checkpoint,
+        version,
+        malformation,
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_legacy_checkpoint(warm_partitioner, path, version)
+        change, message = _MALFORMED_LEGACY[malformation]
+        _rewrite(path, change)
+        with pytest.raises(PartitionError, match=message):
             load_partitioner(path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import IGKway, PartitionConfig
+from repro.core.transaction import state_digest
 from repro.graph import (
     EdgeDelete,
     EdgeInsert,
@@ -197,6 +198,29 @@ class TestCheckpointCorruption:
         state = StreamJournal(tmp_path / "j").load()
         assert state.applied_seq == 3  # the previous good checkpoint
         assert state.partitioner.cut_size() == partitioner.cut_size()
+        journal.close()
+
+    def test_flipped_byte_falls_back_to_v2_previous(
+        self, partitioner, tmp_path, save_legacy_checkpoint
+    ):
+        journal = StreamJournal(tmp_path / "j")
+        journal.write_checkpoint(partitioner, {"applied_seq": 3})
+        # The release before format 3 wrote that checkpoint.
+        save_legacy_checkpoint(
+            partitioner,
+            journal.checkpoint_path,
+            2,
+            stream_meta={"applied_seq": 3, "journal_format": 1},
+        )
+        journal.write_checkpoint(partitioner, {"applied_seq": 7})
+        blob = bytearray(journal.checkpoint_path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        journal.checkpoint_path.write_bytes(bytes(blob))
+        state = StreamJournal(tmp_path / "j").load()
+        assert state.applied_seq == 3  # the format-2 previous checkpoint
+        assert state_digest(
+            state.partitioner.graph, state.partitioner.state
+        ) == state_digest(partitioner.graph, partitioner.state)
         journal.close()
 
     def test_both_checkpoints_corrupt_raises(
