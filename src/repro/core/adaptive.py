@@ -291,4 +291,5 @@ class AdaptiveIGKway:
             balance_stats=incremental.balance_stats,
             refine_stats=incremental.refine_stats,
             applied_modifiers=incremental.applied_modifiers,
+            cut_maintenance_seconds=incremental.cut_maintenance_seconds,
         )

@@ -22,7 +22,6 @@ be compared against the paper.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,11 +98,6 @@ class IGKway:
             omitted.
         device: Device spec for the fresh context.
         capacity_factor: Vertex-ID headroom for future insertions.
-        verify_cut_scan: When True, cross-check the incremental cut
-            accumulator against a ground-truth pool scan after every
-            batch (sanitizer mode; pays the full scan cost the
-            accumulator exists to avoid).  Defaults to the
-            ``REPRO_VERIFY_CUT`` environment variable.
     """
 
     def __init__(
@@ -113,7 +107,6 @@ class IGKway:
         ctx: GpuContext | None = None,
         device: DeviceSpec = A6000,
         capacity_factor: float = 1.5,
-        verify_cut_scan: bool | None = None,
     ):
         self.initial_csr = csr
         self.config = config
@@ -126,12 +119,10 @@ class IGKway:
         #: and raises TransactionError on a digest mismatch (tests and
         #: the chaos harness; costs a full state hash per batch).
         self.verify_rollback_digest = False
-        if verify_cut_scan is None:
-            verify_cut_scan = os.environ.get(
-                "REPRO_VERIFY_CUT", ""
-            ) not in ("", "0")
-        #: Sanitizer mode: assert incremental cut == pool scan per batch.
-        self.verify_cut_scan = bool(verify_cut_scan)
+        #: Sanitizer mode: after every batch, assert the incremental cut
+        #: matrix equals a ground-truth pool scan (pays the full scan
+        #: the accumulator exists to avoid).
+        self.verify_cut_scan = False
 
     @classmethod
     def from_state(
@@ -243,19 +234,12 @@ class IGKway:
             before_mod = ledger.snapshot()
             with ledger.section("modification"), span("modifiers"):
                 ops = expand_modifiers(graph, batch)
-                # Pre-compute the batch's arc deltas against the
-                # pre-batch adjacency (a deleted arc's weight is about
-                # to be blanked), fold them only after the kernels
-                # commit — a failed batch folds nothing.
-                acc = state.cut_acc
-                cut_deltas = (
-                    acc.edge_deltas(state.partition, ops)
-                    if acc is not None and acc.active
-                    else None
+                # Fold the arcs the walk changed only once every kernel
+                # has committed: a failed batch folds nothing.
+                added, removed = apply_ops(
+                    self.ctx, graph, ops, mode=self.config.mode
                 )
-                apply_ops(self.ctx, graph, ops, mode=self.config.mode)
-                if cut_deltas is not None:
-                    acc.fold(*cut_deltas)
+                state.cut_acc.fold_arcs(state.partition, added, removed)
             mod_seconds = ledger.model.seconds(
                 ledger.total.diff(before_mod)
             )

@@ -2,15 +2,19 @@
 
 Each function is one bulk step the paper defines once: the
 most-suitable-partition masked argmax (Algorithm 4), the
-longest-feasible-prefix scan (Figure 5), the bulk edge insert/delete
-slot resolution (Algorithm 1), the ``PartitionState.apply_moves`` weight
-scatter, and the incremental cut-delta fold.  They are *pure array
-functions*: arrays in, arrays out, no graph mutation beyond the
-explicitly in-place fold, no RNG, and no ledger charges.  Cost
-accounting is the caller's job — the simulated-GPU ledger is charged
-around these calls, so their bodies can change without moving a
-deterministic counter (the ``ledgered-backend-kernel`` effect invariant
-enforces this).
+longest-feasible-prefix scan (Figure 5), the
+``PartitionState.apply_moves`` weight scatter, and the incremental
+cut-delta fold.  They are *pure array functions*: arrays in, arrays
+out, no graph mutation beyond the explicitly in-place fold, no RNG, and
+no ledger charges.  Cost accounting is the caller's job — the
+simulated-GPU ledger is charged around these calls, so their bodies can
+change without moving a deterministic counter (the
+``ledgered-backend-kernel`` effect invariant enforces this).
+
+The modifier kernels (Algorithms 1-2) have no bulk step here:
+``core/modification.py`` scans slots one op at a time, as the paper
+gives each slot operation one warp.  Same-kind op runs in real batches
+average 3-4 ops, too short for a bulk scatter to pay for its setup.
 
 The module imports only NumPy, so ``repro.partition`` can import it at
 module level even while the ``repro.core`` package is still initializing.
@@ -91,76 +95,6 @@ def feasible_prefix(
         part_weights[:, None] + accumulated <= w_pmax, axis=0
     )
     return int(np.count_nonzero(np.cumprod(ok)))
-
-
-# -- modification -------------------------------------------------------------
-
-
-def insert_slot_positions(
-    group: np.ndarray,
-    n_groups: int,
-    slot_idx: np.ndarray,
-    owner: np.ndarray,
-    is_empty: np.ndarray,
-) -> np.ndarray | None:
-    """Slot position for each insert of a same-kind run, or ``None``.
-
-    ``group[j]`` is the (deduplicated) vertex index of insert ``j``;
-    ``slot_idx``/``owner`` are the gather arrays over those vertices
-    and ``is_empty`` marks the currently-free slots.  The t-th insert
-    targeting a vertex (in run order) lands in the vertex's t-th
-    empty slot — exactly where the sequential first-empty scan would
-    put it, because earlier inserts only consume earlier empties.
-    Returns ``None`` when some vertex lacks enough empty slots
-    (bucket overflow); the caller then falls back to the sequential
-    path, which preserves Algorithm 1's relocation order.
-    """
-    # Occurrence index of each insert within its vertex group
-    # (stable), via a stable argsort of the group keys.
-    order = np.argsort(group, kind="stable")
-    occ = np.empty(group.size, dtype=np.int64)
-    group_sorted = group[order]
-    first_of_group = np.searchsorted(group_sorted, np.arange(n_groups))
-    occ[order] = np.arange(group.size) - first_of_group[group_sorted]
-
-    empty_positions = slot_idx[is_empty]
-    empty_owner = owner[is_empty]
-    per_owner = np.bincount(empty_owner, minlength=n_groups)
-    need = np.bincount(group, minlength=n_groups)
-    if np.any(per_owner < need):
-        return None
-    # ``empty_owner`` is non-decreasing (owner segments are
-    # contiguous), so each group's empties start at a searchsorted
-    # boundary.
-    group_start = np.searchsorted(empty_owner, np.arange(n_groups))
-    return empty_positions[group_start[group] + occ]
-
-
-def delete_slot_positions(
-    slot_idx: np.ndarray,
-    owner: np.ndarray,
-    slot_values: np.ndarray,
-    match_values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First matching slot per delete of a same-kind run.
-
-    ``owner`` indexes *ops* (one slot segment per delete, vertices
-    repeated per op), so each op matches ``match_values[op]`` only
-    against its own vertex's slots.  Returns ``(chosen, found)``:
-    ``found[i]`` is False when op ``i`` has no matching slot (the
-    caller replays sequentially to reproduce the not-found error),
-    and ``chosen`` holds the matched positions of the found ops in
-    op order (meaningful only when ``found.all()``).
-    """
-    n_ops = match_values.size
-    match = slot_values == match_values[owner]
-    midx = np.flatnonzero(match)
-    first_owners, first_pos = np.unique(owner[midx], return_index=True)
-    found = np.zeros(n_ops, dtype=bool)
-    found[first_owners] = True
-    # found.all() implies first_owners == arange(n_ops): the first
-    # matching slot of op i is midx[first_pos[i]].
-    return slot_idx[midx[first_pos]], found
 
 
 # -- partition state ----------------------------------------------------------

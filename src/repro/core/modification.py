@@ -10,7 +10,10 @@ Two execution paths produce bit-identical results:
 
 * ``warp``  — Algorithm 1/2 verbatim on :class:`~repro.gpusim.warp.Warp`
   (``__ballot_sync`` to find the slot, ``__ffs`` to pick the first one),
-* ``vector`` — NumPy slot scans charging the same operation counts.
+* ``vector`` — one NumPy slot scan per op, charging the same operation
+  counts.
+
+Both walks report the arcs they add and remove (:class:`ArcChanges`).
 
 Overflow handling: when every slot of ``u`` is occupied, Algorithm 1
 falls off its while-loop.  We extend it with the documented relocation
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from itertools import repeat
+from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from repro.core.kernels import delete_slot_positions, insert_slot_positions
 from repro.gpusim.context import FULL_MASK, GpuContext
 from repro.gpusim.warp import Warp, ffs
 from repro.graph.bucketlist import (
@@ -85,6 +88,26 @@ class VertexDeactivate:
 
 
 SlotOp = Union[SlotInsert, SlotDelete, VertexActivate, VertexDeactivate]
+
+
+class ArcChanges(NamedTuple):
+    """The directed arcs one slot-op batch added and removed.
+
+    Each field is an ``(n, 3)`` int64 array of ``(u, v, w)`` rows in op
+    order: one added arc per :class:`SlotInsert`; one removed arc per
+    :class:`SlotDelete`, with the weight its slot held just before the
+    kernel blanked it; and one removed arc per filled slot of a vertex
+    at its :class:`VertexDeactivate`.  Relocations move arcs without
+    changing them and (re)activations blank already-empty buckets, so
+    neither contributes.
+    """
+
+    added: np.ndarray
+    removed: np.ndarray
+
+
+#: The ``(u, v, w)`` rows one walk collects for :class:`ArcChanges`.
+ArcRows = list[tuple[int, int, int]]
 
 
 def expand_modifiers(
@@ -271,7 +294,7 @@ def _edge_insert_warp(
 
 
 def _edge_delete_warp(
-    warp: Warp, graph: BucketListGraph, op: SlotDelete
+    warp: Warp, graph: BucketListGraph, op: SlotDelete, removed: ArcRows
 ) -> None:
     """Edge deletion: same scan as Algorithm 1, matching ``v`` instead."""
     bucket_start, n_slots = graph.slot_range(op.u)
@@ -283,6 +306,7 @@ def _edge_delete_warp(
         found = warp.ballot_sync(FULL_MASK, nbr == op.v)
         slot = ffs(found) - 1
         if slot != -1:
+            removed.append((op.u, op.v, int(graph.slot_wgt[base + slot])))
             graph._undo_slots(base + slot)
             graph.bucket_list[base + slot] = EMPTY
             graph.slot_wgt[base + slot] = 0
@@ -296,12 +320,14 @@ def _vertex_op_warp(
     warp: Warp,
     graph: BucketListGraph,
     op: "VertexActivate | VertexDeactivate",
+    removed: ArcRows,
 ) -> None:
     """Algorithm 2 verbatim: status update + cooperative blanking."""
     u = op.u
     if isinstance(op, VertexDeactivate):
         if graph.vertex_status[u] != STATUS_ACTIVE:
             raise ModifierError(f"vertex {u} is not active")
+        _log_filled_slots(graph, u, removed)
         graph._undo_status(u)
         graph.vertex_status[u] = STATUS_DELETED
         warp.charge(instructions=1, transactions=1)
@@ -332,7 +358,7 @@ def _vertex_op_warp(
 
 def apply_ops_warp(
     ctx: GpuContext, graph: BucketListGraph, ops: Sequence[SlotOp]
-) -> None:
+) -> ArcChanges:
     """Apply a slot-op batch with one warp per op, one kernel launch.
 
     New-vertex IDs are reserved on the host before the launch (the GPU
@@ -343,6 +369,8 @@ def apply_ops_warp(
     from repro.gpusim.kernel import launch_warps
 
     cursor = {"index": 0}
+    added: ArcRows = []
+    removed: ArcRows = []
 
     def body(warp: Warp, op: SlotOp) -> None:
         index = cursor["index"]
@@ -350,10 +378,11 @@ def apply_ops_warp(
         try:
             if isinstance(op, SlotInsert):
                 _edge_insert_warp(warp, graph, op)
+                added.append((op.u, op.v, op.w))
             elif isinstance(op, SlotDelete):
-                _edge_delete_warp(warp, graph, op)
+                _edge_delete_warp(warp, graph, op, removed)
             else:
-                _vertex_op_warp(warp, graph, op)
+                _vertex_op_warp(warp, graph, op, removed)
         except ModifierError as err:
             raise _annotate(err, index) from None
 
@@ -366,177 +395,49 @@ def apply_ops_warp(
     # therefore exempts this launch from cross-warp conflict checks and
     # guards it with the access-trace digest instead.
     launch_warps(ctx, list(ops), body, name="apply-modifiers", ordered=True)
+    return _arc_changes(added, removed)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized path (same results, bulk NumPy, same charged cost).
+# Vectorized path (same results, NumPy slot scans, same charged cost).
 # ---------------------------------------------------------------------------
 
 
 def apply_ops_vector(
     ctx: GpuContext, graph: BucketListGraph, ops: Sequence[SlotOp]
-) -> None:
+) -> ArcChanges:
     """Apply a slot-op batch with NumPy scans, charging warp-equivalent
     costs.  Produces exactly the same slot layout as the warp path
     (first empty / first match in slot order).
 
-    The batch is processed in *runs* of consecutive same-kind slot ops:
-    ops within a run touch either distinct vertices or distinct slots of
-    one vertex, so a whole run resolves in one gather/scatter while
-    preserving the sequential slot layout bit-for-bit.  Runs that could
-    interact through allocation order (bucket overflow) or repeated
-    (u, v) pairs fall back to the per-op scan.
+    One walk in batch order, one NumPy slot scan per op, mirroring the
+    warp path's one warp per op.
     """
     _reserve_new_ids(graph, ops)
     instructions = 0
     transactions = 0
+    added: ArcRows = []
+    removed: ArcRows = []
     with ctx.ledger.kernel("apply-modifiers"):
-        i = 0
-        n = len(ops)
-        while i < n:
-            op = ops[i]
-            if isinstance(op, (SlotInsert, SlotDelete)):
-                kind = type(op)
-                j = i
-                while j < n and type(ops[j]) is kind:
-                    j += 1
-                if kind is SlotInsert:
-                    cost = _insert_run_vector(graph, ops[i:j], base_index=i)
+        for index, op in enumerate(ops):
+            try:
+                if isinstance(op, SlotInsert):
+                    cost = _edge_insert_vector(graph, op)
+                    added.append((op.u, op.v, op.w))
+                elif isinstance(op, SlotDelete):
+                    cost = _edge_delete_vector(graph, op, removed)
                 else:
-                    cost = _delete_run_vector(graph, ops[i:j], base_index=i)
-            else:
-                j = i + 1
-                try:
-                    cost = _vertex_op_vector(graph, op)
-                except ModifierError as err:
-                    raise _annotate(err, i) from None
+                    cost = _vertex_op_vector(graph, op, removed)
+            except ModifierError as err:
+                raise _annotate(err, index) from None
             instructions += cost[0]
             transactions += cost[1]
-            i = j
         n_ops = max(len(ops), 1)
         balanced = math.ceil(instructions / ctx.resident_warps)
         longest = math.ceil(instructions / n_ops)
         ctx.ledger.charge_instructions(max(balanced, longest))
         ctx.ledger.charge_transactions(transactions)
-
-
-def _insert_run_vector(
-    graph: BucketListGraph,
-    run: Sequence[SlotInsert],
-    base_index: int = 0,
-) -> tuple[int, int]:
-    """Apply a run of consecutive SlotInserts in one scatter.
-
-    The t-th insert targeting vertex ``u`` (in run order) lands in the
-    t-th currently-empty slot of ``u`` — exactly where the sequential
-    first-empty scan would put it, because earlier inserts only consume
-    earlier empties.  Any vertex without enough empty slots sends the
-    whole run down the sequential path, which preserves the relocation
-    (overflow) order of Algorithm 1.
-    """
-    if len(run) == 1:
-        try:
-            return _edge_insert_vector(graph, run[0])
-        except ModifierError as err:
-            raise _annotate(err, base_index) from None
-    us = np.array([op.u for op in run], dtype=np.int64)
-    uu, group = np.unique(us, return_inverse=True)
-    slot_idx, owner = graph.slot_index_arrays(uu)
-    is_empty = graph.bucket_list[slot_idx] == EMPTY
-    chosen = insert_slot_positions(group, uu.size, slot_idx, owner, is_empty)
-    if chosen is None:
-        # Overflow: some vertex needs more slots than it has empty.
-        instructions = transactions = 0
-        for offset, op in enumerate(run):
-            try:
-                cost = _edge_insert_vector(graph, op)
-            except ModifierError as err:
-                raise _annotate(err, base_index + offset) from None
-            instructions += cost[0]
-            transactions += cost[1]
-        return instructions, transactions
-    graph._undo_slots(chosen)
-    graph.bucket_list[chosen] = np.array(
-        [op.v for op in run], dtype=np.int64
-    )
-    graph.slot_wgt[chosen] = np.array(
-        [op.w for op in run], dtype=np.int64
-    )
-    base = graph.bucket_start[uu[group]] * SLOTS_PER_BUCKET
-    buckets_scanned = (chosen - base) // SLOTS_PER_BUCKET + 1
-    instructions = int((4 * buckets_scanned + 1).sum())
-    transactions = int((buckets_scanned + 1).sum())
-    return instructions, transactions
-
-
-def _delete_run_vector(
-    graph: BucketListGraph,
-    run: Sequence[SlotDelete],
-    base_index: int = 0,
-) -> tuple[int, int]:
-    """Apply a run of consecutive SlotDeletes in one scatter.
-
-    Deletes match by neighbor *value*, and a vertex's filled slots hold
-    distinct neighbors, so deletes within a run never contend for a
-    slot — unless the run repeats a (u, v) pair, which falls back to the
-    per-op scan to reproduce the sequential not-found error.
-    """
-    if len(run) == 1:
-        try:
-            return _edge_delete_vector(graph, run[0])
-        except ModifierError as err:
-            raise _annotate(err, base_index) from None
-    us = np.array([op.u for op in run], dtype=np.int64)
-    vs = np.array([op.v for op in run], dtype=np.int64)
-    pairs = np.stack([us, vs], axis=1)
-    if np.unique(pairs, axis=0).shape[0] != us.size:
-        instructions = transactions = 0
-        for offset, op in enumerate(run):
-            try:
-                cost = _edge_delete_vector(graph, op)
-            except ModifierError as err:
-                raise _annotate(err, base_index + offset) from None
-            instructions += cost[0]
-            transactions += cost[1]
-        return instructions, transactions
-    # One slot segment *per op* (vertices repeated per delete), so each
-    # op matches its value only against its own vertex's slots.
-    slot_idx, owner = graph.slot_index_arrays(us)
-    chosen, found = delete_slot_positions(
-        slot_idx, owner, graph.bucket_list[slot_idx], vs
-    )
-    if not found.all():
-        return _delete_run_fallback(graph, run, found, base_index)
-    graph._undo_slots(chosen)
-    graph.bucket_list[chosen] = EMPTY
-    graph.slot_wgt[chosen] = 0
-    base = graph.bucket_start[us] * SLOTS_PER_BUCKET
-    buckets_scanned = (chosen - base) // SLOTS_PER_BUCKET + 1
-    instructions = int((4 * buckets_scanned + 1).sum())
-    transactions = int((buckets_scanned + 1).sum())
-    return instructions, transactions
-
-
-def _delete_run_fallback(
-    graph: BucketListGraph,
-    run: Sequence[SlotDelete],
-    found: np.ndarray,
-    base_index: int = 0,
-) -> tuple[int, int]:
-    """Replay a delete run sequentially up to its first missing edge,
-    then raise exactly like the per-op path would — naming the failing
-    op's index in the slot-op sequence so callers can isolate it."""
-    instructions = transactions = 0
-    first_missing = int(np.flatnonzero(~found)[0])
-    for op in run[:first_missing]:
-        cost = _edge_delete_vector(graph, op)
-        instructions += cost[0]
-        transactions += cost[1]
-    bad = run[first_missing]
-    raise ModifierError(
-        f"slot-op {base_index + first_missing}: edge ({bad.u}, {bad.v}) "
-        "not found for deletion"
-    )
+    return _arc_changes(added, removed)
 
 
 def _edge_insert_vector(
@@ -564,7 +465,7 @@ def _edge_insert_vector(
 
 
 def _edge_delete_vector(
-    graph: BucketListGraph, op: SlotDelete
+    graph: BucketListGraph, op: SlotDelete, removed: ArcRows
 ) -> tuple[int, int]:
     start, n_slots = graph.slot_range(op.u)
     slots = graph.bucket_list[start : start + n_slots]
@@ -572,6 +473,7 @@ def _edge_delete_vector(
     if hits.size == 0:
         raise ModifierError(f"edge ({op.u}, {op.v}) not found for deletion")
     slot = int(hits[0])
+    removed.append((op.u, op.v, int(graph.slot_wgt[start + slot])))
     graph._undo_slots(start + slot)
     graph.bucket_list[start + slot] = EMPTY
     graph.slot_wgt[start + slot] = 0
@@ -580,12 +482,15 @@ def _edge_delete_vector(
 
 
 def _vertex_op_vector(
-    graph: BucketListGraph, op: "VertexActivate | VertexDeactivate"
+    graph: BucketListGraph,
+    op: "VertexActivate | VertexDeactivate",
+    removed: ArcRows,
 ) -> tuple[int, int]:
     u = op.u
     if isinstance(op, VertexDeactivate):
         if graph.vertex_status[u] != STATUS_ACTIVE:
             raise ModifierError(f"vertex {u} is not active")
+        _log_filled_slots(graph, u, removed)
         graph._undo_status(u)
         graph.vertex_status[u] = STATUS_DELETED
     else:
@@ -607,6 +512,28 @@ def _vertex_op_vector(
 # ---------------------------------------------------------------------------
 # Shared helpers.
 # ---------------------------------------------------------------------------
+
+
+def _log_filled_slots(
+    graph: BucketListGraph, u: int, removed: ArcRows
+) -> None:
+    """Log every filled slot of ``u`` as a removed arc (before blanking)."""
+    values = graph.slots(u)
+    filled = values != EMPTY
+    removed.extend(
+        zip(
+            repeat(u),
+            values[filled].tolist(),
+            graph.slot_weights(u)[filled].tolist(),
+        )
+    )
+
+
+def _arc_changes(added: ArcRows, removed: ArcRows) -> ArcChanges:
+    return ArcChanges(
+        np.array(added, dtype=np.int64).reshape(-1, 3),
+        np.array(removed, dtype=np.int64).reshape(-1, 3),
+    )
 
 
 def _annotate(err: ModifierError, index: int) -> ModifierError:
@@ -633,20 +560,18 @@ def apply_ops(
     graph: BucketListGraph,
     ops: Sequence[SlotOp],
     mode: str = "vector",
-) -> None:
+) -> ArcChanges:
     """Apply an already-expanded slot-op batch in the selected mode.
 
-    Split out of :func:`apply_batch` so callers that need a look at the
-    expanded ops *before* the kernels mutate the graph (the incremental
-    cut accumulator reads deleted-arc weights from the pre-batch
-    adjacency) can expand, inspect, then apply.
+    Returns the :class:`ArcChanges` the walk made, so a consumer of arc
+    deltas (the incremental cut accumulator) folds them without
+    replaying the batch.  Both modes return the same rows.
     """
     if mode == "warp":
-        apply_ops_warp(ctx, graph, ops)
-    elif mode == "vector":
-        apply_ops_vector(ctx, graph, ops)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return apply_ops_warp(ctx, graph, ops)
+    if mode == "vector":
+        return apply_ops_vector(ctx, graph, ops)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def apply_batch(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.eval.workloads import TraceConfig, generate_trace
 from repro.graph.csr import CSRGraph
@@ -168,24 +168,3 @@ def format_stream_report(experiment: StreamExperiment) -> str:
     ]
     return "\n".join(lines)
 
-
-def sweep_batch_sizes(
-    batch_sizes: List[int],
-    k: int = 4,
-    num_vertices: int = 2000,
-    iterations: int = 40,
-    modifiers_per_iteration: int = 50,
-    seed: int = 0,
-) -> List[StreamExperiment]:
-    """Run the same trace at several fixed size targets (benchmarks)."""
-    return [
-        run_stream_experiment(
-            k=k,
-            num_vertices=num_vertices,
-            iterations=iterations,
-            modifiers_per_iteration=modifiers_per_iteration,
-            seed=seed,
-            target_batch_size=size,
-        )
-        for size in batch_sizes
-    ]

@@ -32,11 +32,11 @@ Delta sources
   co-movers (both endpoints moving in one bulk call) are updated
   single-sided from each endpoint's own scan, while arcs to non-movers
   also update the mirrored entry.
-* **Modifier deltas** — :meth:`edge_deltas` pre-computes per-arc
-  add/subtract keys from the expanded slot-op sequence against the
-  *pre-batch* adjacency (a deleted arc's weight is only known before
-  the kernel blanks it), and :meth:`fold` applies them after the
-  modification kernels commit.
+* **Modifier deltas** — the walk that applies a batch
+  (``core.modification.apply_ops``) reports every arc it adds or
+  removes, a removed arc with the weight its slot held just before the
+  kernel blanked it.  ``IGKway`` passes them to :meth:`fold_arcs` after
+  the modification kernels commit, so nothing replays the batch.
 
 Lifecycle
 ---------
@@ -264,108 +264,27 @@ class CutAccumulator:
         self.touched_arcs += int(sub_keys.size)
         pos[vertices] = -1
 
-    def edge_deltas(
-        self, partition: np.ndarray, ops
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Arc deltas of an expanded slot-op sequence (pre-apply).
-
-        Must run against the *pre-batch* graph (before
-        ``apply_ops``): a deleted arc's weight is read from the
-        adjacency the kernel is about to blank.  Labels are the
-        pre-batch labels too — modification never moves a vertex, so
-        they are also the labels in force when the deltas are folded.
-
-        Replays the batch's in-flight adjacency the same way
-        ``expand_modifiers`` does (which already validated it), so
-        insert-then-delete sequences and vertex deactivations resolve
-        to their net arc effect:
-
-        * ``SlotInsert(u, v, w)`` adds arc ``(u, v)``,
-        * ``SlotDelete(u, v)`` removes it with its current weight,
-        * ``VertexDeactivate(u)`` removes every arc still leaving ``u``
-          (expansion only emits the *reverse* slot-deletes; the forward
-          arcs die when the kernel blanks ``u``'s buckets),
-        * ``VertexActivate`` contributes nothing (a fresh or previously
-          blanked vertex has no arcs).
-
-        Returns ``(sub_keys, sub_weights, add_keys, add_weights)``.
-        """
-        from repro.core.modification import (
-            SlotDelete,
-            SlotInsert,
-            VertexActivate,
-            VertexDeactivate,
-        )
-
-        graph = self.graph
-        k = self.k
-        ext_n = self.ext_n
-
-        def ext_of(w: int) -> int:
-            label = int(partition[w]) if w < partition.size else -1
-            return label if label >= 0 else k + 1
-
-        adj_cache: dict[int, dict[int, int]] = {}
-
-        def adj_of(u: int) -> dict[int, int]:
-            d = adj_cache.get(u)
-            if d is None:
-                if u >= graph.num_vertices or not graph.is_active(u):
-                    d = {}
-                else:
-                    values = graph.slots(u)
-                    mask = values != EMPTY
-                    d = dict(
-                        zip(
-                            (int(v) for v in values[mask]),
-                            (int(w) for w in graph.slot_weights(u)[mask]),
-                        )
-                    )
-                adj_cache[u] = d
-            return d
-
-        sub_keys: list[int] = []
-        sub_w: list[int] = []
-        add_keys: list[int] = []
-        add_w: list[int] = []
-        for op in ops:
-            if isinstance(op, SlotInsert):
-                adj_of(op.u)[op.v] = op.w
-                add_keys.append(ext_of(op.u) * ext_n + ext_of(op.v))
-                add_w.append(op.w)
-            elif isinstance(op, SlotDelete):
-                w = adj_of(op.u).pop(op.v)
-                sub_keys.append(ext_of(op.u) * ext_n + ext_of(op.v))
-                sub_w.append(w)
-            elif isinstance(op, VertexDeactivate):
-                d = adj_of(op.u)
-                eu = ext_of(op.u) * ext_n
-                for v, w in d.items():
-                    sub_keys.append(eu + ext_of(v))
-                    sub_w.append(w)
-                adj_cache[op.u] = {}
-            elif isinstance(op, VertexActivate):
-                # Buckets are blanked on (re)activation; in-batch
-                # inserts land via SlotInsert afterwards.
-                adj_cache[op.u] = {}
-        return (
-            np.asarray(sub_keys, dtype=np.int64),
-            np.asarray(sub_w, dtype=np.int64),
-            np.asarray(add_keys, dtype=np.int64),
-            np.asarray(add_w, dtype=np.int64),
-        )
-
-    def fold(
-        self,
-        sub_keys: np.ndarray,
-        sub_weights: np.ndarray,
-        add_keys: np.ndarray,
-        add_weights: np.ndarray,
+    def fold_arcs(
+        self, partition: np.ndarray, added: np.ndarray, removed: np.ndarray
     ) -> None:
-        """Apply :meth:`edge_deltas` output to the matrix (post-commit)."""
+        """Fold a committed modifier batch's arc changes.
+
+        ``added``/``removed`` are the ``(n, 3)`` ``(u, v, w)`` rows
+        ``apply_ops`` returns.  Labels are read from ``partition`` at
+        fold time: modification never moves a vertex, so they are the
+        labels in force while the batch applied.
+        """
         if self._flat is None:
             return
+        ext_n = np.int64(self.ext_n)
+
+        def keys(arcs: np.ndarray) -> np.ndarray:
+            return (
+                self._ext(partition[arcs[:, 0]]) * ext_n
+                + self._ext(partition[arcs[:, 1]])
+            )
+
         fold_cut_deltas(
-            self._flat, sub_keys, sub_weights, add_keys, add_weights
+            self._flat, keys(removed), removed[:, 2], keys(added), added[:, 2]
         )
-        self.touched_arcs += int(sub_keys.size + add_keys.size)
+        self.touched_arcs += len(removed) + len(added)

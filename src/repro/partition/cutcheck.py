@@ -8,8 +8,9 @@ arc matrix from scratch and asserts the accumulator agrees **exactly**
 missed or double-counted delta and raises immediately with a diff
 summary.
 
-Wired behind ``IGKway(verify_cut_scan=...)`` / ``REPRO_VERIFY_CUT=1``
-and the property-test suite; it pays the full pool-scan cost per call,
+Wired behind the ``IGKway.verify_cut_scan`` attribute (set it to True
+on a partitioner, as tests set ``verify_rollback_digest``) and the
+property-test suite; it pays the full pool-scan cost per call,
 so it is sanitizer-mode machinery, never hot-path.  Along with
 :mod:`repro.partition.metrics`, this module is exempt from the
 ``pool-scan-outside-sanitizer`` lint rule.

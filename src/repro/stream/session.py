@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.adaptive import AdaptiveIGKway, AdaptiveReport
 from repro.core.igkway import FullPartitionReport
@@ -313,9 +313,6 @@ class StreamSession:
             self._window_opened_cycles = self._clock()
         self._maybe_flush()
         return seq
-
-    def submit_many(self, modifiers: Iterable[Modifier]) -> List[int]:
-        return [self.submit(modifier) for modifier in modifiers]
 
     # -- flushing ------------------------------------------------------------------
 

@@ -186,18 +186,12 @@ class TestRealTreeKernelEdges:
             "feasible_prefix": {
                 "repro.core.refinement.longest_feasible_prefix"
             },
-            "insert_slot_positions": {
-                "repro.core.modification._insert_run_vector"
-            },
-            "delete_slot_positions": {
-                "repro.core.modification._delete_run_vector"
-            },
             "apply_move_deltas": {
                 "repro.partition.state.PartitionState.apply_moves"
             },
             "fold_cut_deltas": {
                 f"repro.partition.cutacc.CutAccumulator.{method}"
-                for method in ("fold", "on_move", "on_moves")
+                for method in ("fold_arcs", "on_move", "on_moves")
             },
         }
         for kernel, callers in expected.items():

@@ -110,6 +110,26 @@ class TestFallbackQuality:
         assert report.iteration.balanced
         adaptive.validate()
 
+    def test_fallback_reports_cut_maintenance(self):
+        # The incremental half of a fallback iteration charges the
+        # cut_maintenance section; the report must carry that time.
+        csr = circuit_graph(600, 1.3, seed=1)
+        adaptive = AdaptiveIGKway(
+            csr, PartitionConfig(k=4), batch_threshold=0.05
+        )
+        adaptive.full_partition()
+        trace = generate_trace(
+            csr,
+            TraceConfig(iterations=1, modifiers_per_iteration=40, seed=3),
+        )
+        report = adaptive.apply(trace[0])
+        assert report.used_fallback
+        charged = adaptive.inner.ctx.ledger.seconds("cut_maintenance")
+        assert charged > 0.0
+        assert report.iteration.cut_maintenance_seconds == pytest.approx(
+            charged, rel=1e-12
+        )
+
     def test_partition_consistent_after_fallback(self, small_circuit):
         adaptive = AdaptiveIGKway(
             small_circuit,

@@ -38,9 +38,8 @@ def mode(request):
 
 def apply_ops(ctx, graph, ops, mode):
     if mode == "warp":
-        apply_ops_warp(ctx, graph, ops)
-    else:
-        apply_ops_vector(ctx, graph, ops)
+        return apply_ops_warp(ctx, graph, ops)
+    return apply_ops_vector(ctx, graph, ops)
 
 
 class TestEdgeInsert:
@@ -238,17 +237,28 @@ class TestApplyBatchEquivalence:
     """Differential testing: warp and vector paths, and both against the
     HostGraph reference semantics."""
 
-    @given(st.integers(0, 10_000))
+    @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_random_traces_match_reference(self, seed):
-        from repro.eval.workloads import TraceConfig, generate_trace
+    def test_random_traces_match_reference(self, seed, region_burst):
+        from repro.eval.workloads import (
+            TraceConfig,
+            generate_region_burst_trace,
+            generate_trace,
+        )
 
         csr = circuit_graph(60, 1.5, seed=seed)
-        trace = generate_trace(
-            csr,
-            TraceConfig(iterations=3, modifiers_per_iteration=15,
-                        seed=seed),
-        )
+        if region_burst:
+            # The ECO-burst shape: every modifier inside one ID window.
+            trace = generate_region_burst_trace(
+                csr, iterations=3, modifiers_per_iteration=15,
+                region_span=24, seed=seed,
+            )
+        else:
+            trace = generate_trace(
+                csr,
+                TraceConfig(iterations=3, modifiers_per_iteration=15,
+                            seed=seed),
+            )
         host = HostGraph.from_csr(csr)
         graph_w = BucketListGraph.from_csr(csr)
         graph_v = BucketListGraph.from_csr(csr)
@@ -288,14 +298,93 @@ class TestApplyBatchEquivalence:
             apply_batch(ctx, tiny_bucketlist, [], mode="cuda")
 
 
+class TestArcChanges:
+    """``apply_ops`` reports every arc its walk adds or removes, so the
+    cut accumulator folds the batch without replaying it."""
+
+    K = 3
+
+    @staticmethod
+    def _weighted_graph() -> CSRGraph:
+        # Vertex 0 fills exactly one bucket (gamma=0), so one more edge
+        # on it relocates; vertex 38 (weight 4) is the one deleted.
+        edges = [(0, i) for i in range(1, SLOTS_PER_BUCKET + 1)]
+        weights = [1 + i % 4 for i in range(1, SLOTS_PER_BUCKET + 1)]
+        for u, v, w in [(1, 2, 5), (38, 39, 3), (38, 34, 2), (38, 35, 6)]:
+            edges.append((u, v))
+            weights.append(w)
+        vwgt = np.ones(40, dtype=np.int64)
+        vwgt[38] = 4
+        return CSRGraph.from_edges(40, np.array(edges), weights, vwgt)
+
+    BATCH = [
+        EdgeInsert(34, 35, weight=4),
+        EdgeDelete(1, 2),
+        EdgeInsert(36, 37, weight=2),
+        EdgeDelete(36, 37),
+        EdgeInsert(36, 37, weight=9),
+        VertexDelete(38),
+        VertexInsert(38, weight=5),
+        EdgeInsert(38, 39, weight=8),
+        EdgeInsert(0, 33, weight=7),
+    ]
+
+    def _apply(self, mode):
+        csr = self._weighted_graph()
+        graph = BucketListGraph.from_csr(csr, gamma=0)
+        ops = expand_modifiers(graph, self.BATCH)
+        arcs = apply_ops(GpuContext(), graph, ops, mode)
+        return csr, graph, ops, arcs
+
+    def test_folded_arcs_equal_post_batch_scan(self, mode):
+        from repro.partition.cutacc import CutAccumulator
+        from repro.partition.metrics import arc_matrix_bucketlist
+
+        csr = self._weighted_graph()
+        graph = BucketListGraph.from_csr(csr, gamma=0)
+        partition = np.arange(graph.capacity, dtype=np.int64) % self.K
+        acc = CutAccumulator(graph, self.K)
+        acc.ensure(partition)
+        ops = expand_modifiers(graph, self.BATCH)
+        start_of_0 = graph.bucket_start[0]
+        arcs = apply_ops(GpuContext(), graph, ops, mode)
+        assert graph.bucket_start[0] != start_of_0  # vertex 0 relocated
+        assert graph.edge_weight(36, 37) == 9
+        acc.fold_arcs(partition, arcs.added, arcs.removed)
+        assert np.array_equal(
+            acc.arc_matrix(partition),
+            arc_matrix_bucketlist(graph, partition, self.K),
+        )
+
+    def test_arc_count_is_slot_ops_plus_deactivated_degrees(self, mode):
+        csr, graph, ops, arcs = self._apply(mode)
+        degrees = 0
+        for index, op in enumerate(ops):
+            if isinstance(op, VertexDeactivate):
+                before = BucketListGraph.from_csr(csr, gamma=0)
+                apply_ops(GpuContext(), before, ops[:index], mode)
+                degrees += before.degree(op.u)
+        inserts = sum(isinstance(op, SlotInsert) for op in ops)
+        deletes = sum(isinstance(op, SlotDelete) for op in ops)
+        assert degrees > 0
+        assert len(arcs.added) == inserts
+        assert len(arcs.removed) == deletes + degrees
+
+    def test_both_modes_report_the_same_arcs(self):
+        _, _, _, warp = self._apply("warp")
+        _, _, _, vector = self._apply("vector")
+        assert np.array_equal(warp.added, vector.added)
+        assert np.array_equal(warp.removed, vector.removed)
+
+
 class TestFailingOpIndexReport:
     """Kernel-level failures must name the failing slot-op's index —
     the isolation machinery above (and operators reading logs) rely on
     it to find the poison without a second failing run."""
 
     def test_delete_run_names_first_missing_op(self, ctx, tiny_bucketlist):
-        # A run of deletes on the same vertex: (0,1) exists, (0,3) does
-        # not — the vectorized path's fallback must name index 1.
+        # Two deletes on the same vertex: (0,1) exists, (0,3) does not
+        # — the vectorized walk must name index 1.
         ops = [SlotDelete(0, 1), SlotDelete(0, 3)]
         with pytest.raises(ModifierError, match=r"slot-op 1:"):
             apply_ops_vector(ctx, tiny_bucketlist, ops)

@@ -18,6 +18,10 @@ and compares it against the ``gate`` section of the checked-in
   drifting back toward a pool scan fails here, and so does a sweep
   that records no ``cut-size`` phase at all.
 
+It also prints one informational line per host phase (fresh ms next to
+baseline ms), so a phase-level shift shows in ``make check`` output even
+when the sweep total stays inside the tolerance.
+
 Usage::
 
     python tools/perf_gate.py            # check against BENCH_hotpath.json
@@ -141,6 +145,15 @@ def main(argv: list[str] | None = None) -> int:
         f"{fresh['ledger']['transactions']} trans, "
         f"cut {fresh['final_cut']}"
     )
+    for phase, seconds in fresh["host_seconds"].items():
+        if phase == "sweep_total":
+            continue
+        base = gate["host_seconds"].get(phase)
+        base_text = "n/a" if base is None else f"{base*1e3:.1f}ms"
+        print(
+            f"perf-gate:   {phase:<24} {seconds*1e3:6.1f}ms "
+            f"(baseline {base_text})"
+        )
     if failures:
         for msg in failures:
             print(f"perf-gate FAIL: {msg}", file=sys.stderr)
