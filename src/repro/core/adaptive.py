@@ -202,22 +202,20 @@ class AdaptiveIGKway:
         """Escalation path: rebuild the device structures from scratch.
 
         Unlike :meth:`_fallback` (which re-partitions but keeps the live
-        bucket list), this materializes the current graph on the host
-        and constructs a *fresh* bucket-list graph — new pool, new
-        spare-bucket headroom, vertex IDs preserved — then runs FGP on
-        it.  This is the stream layer's last resort when incremental
-        application keeps failing: it repairs failure causes a
-        re-partition cannot, above all an exhausted bucket pool.
+        bucket list), this compacts the current graph into a *fresh*
+        bucket-list graph — new pool, new spare-bucket headroom, vertex
+        IDs preserved — then runs FGP on it.  This is the stream
+        layer's last resort when incremental application keeps
+        failing: it repairs failure causes a re-partition cannot, above
+        all an exhausted bucket pool.
         """
         inner = self.inner
         graph, _state = inner._require_partitioned()
         ledger = inner.ctx.ledger
         before = ledger.snapshot()
         with ledger.section("partitioning"):
-            host = graph.to_host_graph()
             ledger.charge_d2h(graph.nbytes())
-            new_graph = BucketListGraph.from_host_graph(
-                host,
+            new_graph = graph.compacted(
                 gamma=inner.config.gamma,
                 capacity_factor=inner.capacity_factor,
             )

@@ -254,37 +254,46 @@ class BucketListGraph:
         graph.slot_wgt[positions] = csr.adjwgt
         return graph
 
-    @classmethod
-    def from_host_graph(
-        cls,
-        host: HostGraph,
-        gamma: int = 1,
-        capacity_factor: float = 1.5,
+    def compacted(
+        self, gamma: int = 1, capacity_factor: float = 1.5
     ) -> "BucketListGraph":
-        """Build from a :class:`HostGraph`, preserving vertex IDs.
+        """A fresh bucket list holding this graph, vertex IDs preserved.
 
-        Unlike :meth:`from_csr` this keeps deleted IDs as deleted slots,
-        which is what a long-running incremental session looks like.
+        The pool is rebuilt tight: every vertex ID below
+        :attr:`num_vertices` gets ``ceil(D(u) / 32) + gamma`` contiguous
+        buckets in ID order, its filled slots packed at the head in
+        their old slot order, and the tail keeps one spare bucket per
+        reserved vertex ID (plus one).  Deleted IDs stay deleted, with
+        weight 1.  This is the escalation path's repair for a pool that
+        relocations and re-inserts have exhausted.
         """
-        n = host.num_vertex_slots
+        n = self.num_vertices
         capacity = max(n, int(math.ceil(n * capacity_factor)))
-        degrees = np.array([host.degree(u) for u in range(n)], dtype=np.int64)
-        counts = np.ceil(degrees / SLOTS_PER_BUCKET).astype(np.int64) + gamma
-        counts = np.maximum(counts, 1)
+        positions, neighbors, weights = self.filled_slots()
+        owner = self.slot_owner_array()[positions]
+        # Stable: a vertex's slots keep their pool (= slot) order.
+        order = np.argsort(owner, kind="stable")
+        degrees = np.bincount(owner, minlength=n)
+        counts = np.maximum(
+            np.ceil(degrees / SLOTS_PER_BUCKET).astype(np.int64) + gamma, 1
+        )
         needed = int(counts.sum())
-        graph = cls(capacity, needed + (capacity - n + 1), gamma=gamma)
+        graph = BucketListGraph(
+            capacity, needed + (capacity - n + 1), gamma=gamma
+        )
         graph.num_vertices = n
         graph.bucket_count[:n] = counts
         graph.bucket_start[1:n] = np.cumsum(counts[:-1])
         graph.num_buckets_used = needed
-        for u in range(n):
-            if host.is_active(u):
-                graph.vertex_status[u] = STATUS_ACTIVE
-                graph.vwgt[u] = host.vwgt[u]
-                base = graph.bucket_start[u] * SLOTS_PER_BUCKET
-                for offset, (v, w) in enumerate(host.neighbors(u).items()):
-                    graph.bucket_list[base + offset] = v
-                    graph.slot_wgt[base + offset] = w
+        active = self.vertex_status[:n] == STATUS_ACTIVE
+        graph.vertex_status[:n] = self.vertex_status[:n]
+        graph.vwgt[:n] = np.where(active, self.vwgt[:n], 1)
+        new_positions = (
+            np.repeat(graph.bucket_start[:n] * SLOTS_PER_BUCKET, degrees)
+            + _ramp(degrees)
+        )
+        graph.bucket_list[new_positions] = neighbors[order]
+        graph.slot_wgt[new_positions] = weights[order]
         return graph
 
     # -- slot geometry -----------------------------------------------------------
@@ -685,8 +694,26 @@ class BucketListGraph:
         return host
 
     def to_csr(self) -> tuple[CSRGraph, np.ndarray]:
-        """Compact the active subgraph to CSR (returns ``(csr, id_map)``)."""
-        return self.to_host_graph().to_csr()
+        """Compact the active subgraph to CSR (returns ``(csr, id_map)``).
+
+        ``id_map[i]`` is the vertex ID of compacted vertex ``i``.  Each
+        undirected edge is taken once, from its lower-ID endpoint's
+        slot; :meth:`CSRGraph.from_edges` sorts the arcs, so the result
+        equals ``to_host_graph().to_csr()``.
+        """
+        id_map = self.active_vertices().astype(np.int64)
+        remap = np.full(self.num_vertices, -1, dtype=np.int64)
+        remap[id_map] = np.arange(id_map.size, dtype=np.int64)
+        positions, neighbors, weights = self.filled_slots()
+        owner = self.slot_owner_array()[positions]
+        lower = owner < neighbors
+        edges = np.stack(
+            [remap[owner[lower]], remap[neighbors[lower]]], axis=1
+        )
+        csr = CSRGraph.from_edges(
+            id_map.size, edges, weights[lower], self.vwgt[id_map]
+        )
+        return csr, id_map
 
     def validate(self) -> None:
         """Check every structural invariant; raises on violation.

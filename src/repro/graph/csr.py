@@ -76,15 +76,17 @@ class CSRGraph:
         # Duplicate detection on canonicalized endpoints.
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = lo * np.int64(num_vertices) + hi
-        if m and np.unique(keys).size != m:
+        keys = np.sort(lo * np.int64(num_vertices) + hi)
+        if np.any(keys[1:] == keys[:-1]):
             raise GraphConsistencyError("duplicate undirected edges")
 
-        # Symmetrize: every edge contributes two directed arcs.
+        # Symmetrize: every edge contributes two directed arcs.  The
+        # arcs are distinct, so sorting by ``src * n + dst`` orders them
+        # by source, then destination.
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
         wgt = np.concatenate([edge_weights, edge_weights])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src * np.int64(num_vertices) + dst)
         src, dst, wgt = src[order], dst[order], wgt[order]
         degrees = np.bincount(src, minlength=num_vertices)
         xadj = np.zeros(num_vertices + 1, dtype=np.int64)

@@ -15,6 +15,14 @@ with a classic FM pass:
 The implementation uses a lazy max-heap: entries are re-validated
 against the live connectivity table when popped, which avoids the
 textbook bucket-list gain structure while keeping the same behavior.
+
+The pass is sequential, so it runs over plain Python lists (connectivity
+rows, part weights, vertex weights, the CSR arrays) rather than indexing
+NumPy scalars.  Only the heap seed is vectorized: one array computation
+finds every boundary vertex's best move, then ``heapq.heapify`` orders
+them.  A heap's pop sequence depends only on the multiset of its
+``(-gain, vertex, target, gain)`` tuples, so this yields exactly the
+moves that pushing the candidates one by one would.
 """
 
 from __future__ import annotations
@@ -31,33 +39,65 @@ from repro.partition.refine import connectivity_matrix
 
 
 def _best_move(
-    conn_row: np.ndarray,
+    conn_row: list[int],
     current: int,
-    vertex_weight: int,
+    limit: int,
+    part_weights: list[int],
+) -> tuple[int, int] | None:
+    """Best feasible ``(gain, target)`` for one vertex, or None.
+
+    A target is feasible when its weight is at most ``limit`` (W_pmax
+    minus the vertex weight).  The gain is the target's connectivity
+    minus the current part's, so the best target has the highest
+    connectivity; ties go to the lighter target, then to the lower part
+    index.
+    """
+    best_target = -1
+    best_conn = best_weight = 0
+    for p in range(len(conn_row)):
+        weight = part_weights[p]
+        if weight > limit or p == current:
+            continue
+        conn = conn_row[p]
+        if (
+            best_target < 0
+            or conn > best_conn
+            or (conn == best_conn and weight < best_weight)
+        ):
+            best_conn, best_target, best_weight = conn, p, weight
+    if best_target < 0:
+        return None
+    return best_conn - conn_row[current], best_target
+
+
+def _seed_heap(
+    conn: np.ndarray,
+    partition: np.ndarray,
+    vwgt: np.ndarray,
     part_weights: np.ndarray,
     w_pmax: int,
-) -> tuple[int, int] | None:
-    """Best feasible (gain, target) for one vertex, or None."""
-    k = conn_row.shape[0]
-    best_gain = None
-    best_target = None
-    for p in range(k):
-        if p == current:
-            continue
-        if part_weights[p] + vertex_weight > w_pmax:
-            continue
-        gain = int(conn_row[p] - conn_row[current])
-        if (
-            best_gain is None
-            or gain > best_gain
-            or (gain == best_gain and part_weights[p]
-                < part_weights[best_target])
-        ):
-            best_gain = gain
-            best_target = p
-    if best_gain is None:
-        return None
-    return best_gain, best_target
+) -> list[tuple[int, int, int, int]]:
+    """Heap of every boundary vertex's best move, in one array pass.
+
+    Same choice as :func:`_best_move` row by row: the highest gain, then
+    the lighter target part, then the lower part index (``argmin``
+    returns the first minimum).
+    """
+    internal = conn[np.arange(conn.shape[0]), partition]
+    boundary = np.flatnonzero(conn.sum(axis=1) != internal)
+    feasible = part_weights + vwgt[boundary, None] <= w_pmax
+    feasible[np.arange(boundary.size), partition[boundary]] = False
+    movable = feasible.any(axis=1)
+    boundary, feasible = boundary[movable], feasible[movable]
+    gains = conn[boundary] - internal[boundary, None]
+    best = np.where(feasible, gains, np.iinfo(np.int64).min).max(axis=1)
+    ties = feasible & (gains == best[:, None])
+    target = np.where(ties, part_weights, np.iinfo(np.int64).max).argmin(axis=1)
+    heap = list(zip(
+        (-best).tolist(), boundary.tolist(), target.tolist(), best.tolist()
+    ))
+    heapq.heapify(heap)
+    return heap
 
 
 def fm_pass(
@@ -77,24 +117,19 @@ def fm_pass(
     """
     n = csr.num_vertices
     conn = connectivity_matrix(csr, partition, k).astype(np.int64)
-    vwgt = csr.vwgt
     if max_moves is None:
         max_moves = n
+    heap = _seed_heap(conn, partition, csr.vwgt, part_weights, w_pmax)
 
-    heap: list[tuple[int, int, int, int]] = []
-    for v in range(n):
-        current = int(partition[v])
-        internal = conn[v, current]
-        external = int(conn[v].sum()) - internal
-        if external == 0:
-            continue  # not a boundary vertex
-        move = _best_move(conn[v], current, int(vwgt[v]), part_weights,
-                          w_pmax)
-        if move is not None:
-            gain, target = move
-            heapq.heappush(heap, (-gain, v, target, gain))
+    rows = conn.tolist()
+    part = partition.tolist()
+    weights = part_weights.tolist()
+    vwgt = csr.vwgt.tolist()
+    xadj = csr.xadj.tolist()
+    adjncy = csr.adjncy.tolist()
+    adjwgt = csr.adjwgt.tolist()
 
-    locked = np.zeros(n, dtype=bool)
+    locked = [False] * n
     applied: list[tuple[int, int]] = []  # (vertex, source partition)
     cumulative = 0
     best_cumulative = 0
@@ -104,9 +139,8 @@ def fm_pass(
         _neg, v, target, stamped_gain = heapq.heappop(heap)
         if locked[v]:
             continue
-        current = int(partition[v])
-        move = _best_move(conn[v], current, int(vwgt[v]), part_weights,
-                          w_pmax)
+        current = part[v]
+        move = _best_move(rows[v], current, w_pmax - vwgt[v], weights)
         if move is None:
             continue
         gain, live_target = move
@@ -116,24 +150,23 @@ def fm_pass(
             continue
         # Apply the move.
         locked[v] = True
-        partition[v] = target
-        part_weights[current] -= int(vwgt[v])
-        part_weights[target] += int(vwgt[v])
+        part[v] = target
+        weights[current] -= vwgt[v]
+        weights[target] += vwgt[v]
         applied.append((v, current))
         cumulative += gain
         if cumulative > best_cumulative:
             best_cumulative = cumulative
             best_prefix = len(applied)
         # Update neighbor connectivity and refresh their heap entries.
-        start, end = csr.xadj[v], csr.xadj[v + 1]
-        for w, wgt in zip(csr.adjncy[start:end], csr.adjwgt[start:end]):
-            w = int(w)
-            conn[w, current] -= wgt
-            conn[w, target] += wgt
+        start, end = xadj[v], xadj[v + 1]
+        for w, wgt in zip(adjncy[start:end], adjwgt[start:end]):
+            row = rows[w]
+            row[current] -= wgt
+            row[target] += wgt
             if not locked[w]:
                 refreshed = _best_move(
-                    conn[w], int(partition[w]), int(vwgt[w]),
-                    part_weights, w_pmax,
+                    row, part[w], w_pmax - vwgt[w], weights
                 )
                 if refreshed is not None:
                     heapq.heappush(
@@ -142,10 +175,12 @@ def fm_pass(
 
     # Roll back past the best prefix.
     for v, source in reversed(applied[best_prefix:]):
-        target = int(partition[v])
-        partition[v] = source
-        part_weights[target] -= int(vwgt[v])
-        part_weights[source] += int(vwgt[v])
+        target = part[v]
+        part[v] = source
+        weights[target] -= vwgt[v]
+        weights[source] += vwgt[v]
+    partition[:] = part
+    part_weights[:] = weights
     return best_cumulative
 
 

@@ -1,5 +1,7 @@
 """Adaptive hybrid partitioner (the Section VI.C fallback policy)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,61 @@ class TestFromInner:
             AdaptiveIGKway.from_inner(inner, drift_threshold=1.0)
         with pytest.raises(ValueError):
             AdaptiveIGKway.from_inner(inner, volume_threshold=0.0)
+
+
+def _digest(labels):
+    return hashlib.sha256(
+        np.ascontiguousarray(labels, dtype=np.int64).tobytes()
+    ).hexdigest()
+
+
+class TestFullRebuild:
+    def test_pinned_rebuild_and_next_batch(self):
+        """The escalation rebuild compacts the live graph (weighted, with
+        deleted and re-inserted IDs, gamma=0) into the same fresh pool
+        and partition as the per-vertex host rebuild it replaced, and
+        the next batch reports the same cut and costs."""
+        csr = circuit_graph(400, 1.4, seed=5)
+        adaptive = AdaptiveIGKway(csr, PartitionConfig(k=4, gamma=0, seed=5))
+        adaptive.full_partition()
+        trace = generate_trace(
+            csr,
+            TraceConfig(
+                iterations=7,
+                modifiers_per_iteration=(20, 40),
+                edge_weight_range=(1, 5),
+                vertex_weight_range=(1, 4),
+                seed=5,
+            ),
+        )
+        for batch in trace[:6]:
+            adaptive.apply(batch)
+
+        report = adaptive.full_rebuild()
+        graph, ledger = adaptive.graph, adaptive.ctx.ledger.total
+        assert (report.cut, report.balanced, report.num_levels) == (72, True, 1)
+        assert report.seconds == 0.034801898333333324
+        assert (graph.capacity, graph.pool_buckets) == (614, 615)
+        assert graph.num_buckets_used == 409
+        assert (ledger.warp_instructions, ledger.transactions) == (
+            615150,
+            84576,
+        )
+        assert _digest(adaptive.partition) == (
+            "1c012cf323385f7060f7a3e33ad24fc41aa7b8f06bf0459649c3382c76931f0b"
+        )
+        graph.validate()
+
+        nxt = adaptive.apply(trace[6])
+        ledger = adaptive.ctx.ledger.total
+        assert not nxt.used_fallback
+        assert nxt.iteration.cut == 85
+        assert nxt.iteration.modification_seconds == 7.880000000000186e-05
+        assert nxt.iteration.partitioning_seconds == 0.0009694882154882345
+        assert (ledger.warp_instructions, ledger.transactions) == (
+            629822,
+            85723,
+        )
+        assert _digest(adaptive.partition) == (
+            "820c19755dca1e2af5b9d357e8bb6aa0ae9d3fa30e33c7d55a00234782e386ba"
+        )

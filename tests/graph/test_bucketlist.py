@@ -1,19 +1,83 @@
 """Bucket-list graph structure (Section V.A / Figure 4)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.igkway import IGKway
+from repro.eval.workloads import TraceConfig, generate_trace
 from repro.graph import (
     EMPTY,
     SLOTS_PER_BUCKET,
     BucketListGraph,
     CSRGraph,
-    HostGraph,
+    EdgeInsert,
+    VertexDelete,
+    VertexInsert,
     circuit_graph,
 )
-from repro.utils import CapacityError, GraphConsistencyError
+from repro.graph.bucketlist import STATUS_ACTIVE, STATUS_DELETED
+from repro.partition import PartitionConfig
+from repro.utils import (
+    CapacityError,
+    FaultInjector,
+    GraphConsistencyError,
+    InjectedAbort,
+)
+
+
+def traced_graph(seed: int = 5) -> BucketListGraph:
+    """A weighted bucket list after a trace of edge and vertex inserts
+    and deletes (deleted IDs re-inserted), overflow relocations
+    (gamma=0) and a rolled-back batch."""
+    csr = circuit_graph(300, 1.4, seed=seed)
+    ig = IGKway(csr, PartitionConfig(k=4, gamma=0, seed=seed))
+    ig.full_partition()
+    trace = generate_trace(
+        csr,
+        TraceConfig(
+            iterations=6,
+            modifiers_per_iteration=(20, 40),
+            edge_weight_range=(1, 5),
+            vertex_weight_range=(1, 4),
+            seed=seed,
+        ),
+    )
+    for batch in trace:
+        ig.apply(batch)
+    graph = ig.graph
+
+    def star(hub: int) -> list:
+        return [
+            EdgeInsert(hub, int(v), weight=1 + int(v) % 5)
+            for v in graph.active_vertices()
+            if v != hub and not graph.has_edge(hub, int(v))
+        ][:40]
+
+    hub, aborted_hub = (int(u) for u in graph.active_vertices()[:2])
+    ig.apply(star(hub))  # overflows the hub's single bucket
+    with FaultInjector(seed=seed).kernel_abort(graph, after_writes=50):
+        with pytest.raises(InjectedAbort):
+            ig.apply(star(aborted_hub))
+    # A deleted ID keeps the weight it last had while active.
+    statuses = graph.vertex_status[: graph.num_vertices]
+    ghost = int(np.flatnonzero(statuses == STATUS_DELETED)[0])
+    ig.apply([VertexInsert(ghost, weight=3)])
+    ig.apply([VertexDelete(ghost)])
+    assert graph.bucket_count[hub] > 1
+    assert graph.vwgt[ghost] == 3 and not graph.is_active(ghost)
+    return graph
+
+
+def edgeless_graph() -> BucketListGraph:
+    return BucketListGraph.from_csr(
+        CSRGraph.from_edges(
+            5, np.empty((0, 2)), vertex_weights=np.array([1, 2, 3, 4, 5])
+        )
+    )
 
 
 class TestFromCsr:
@@ -58,6 +122,17 @@ class TestFromCsr:
         back, id_map = graph.to_csr()
         assert back.num_edges == small_circuit.num_edges
         assert np.array_equal(id_map, np.arange(small_circuit.num_vertices))
+        # The array-level export equals the host-graph export exactly,
+        # also after deletions, re-inserts, relocations and a rollback.
+        for graph in (graph, traced_graph(), edgeless_graph()):
+            got, got_map = graph.to_csr()
+            want, want_map = graph.to_host_graph().to_csr()
+            for name in ("xadj", "adjncy", "adjwgt", "vwgt"):
+                assert np.array_equal(
+                    getattr(got, name), getattr(want, name)
+                ), name
+            assert np.array_equal(got_map, want_map)
+            assert got_map.dtype == want_map.dtype
 
     def test_capacity_reserved(self, small_circuit):
         graph = BucketListGraph.from_csr(
@@ -216,24 +291,77 @@ class TestStats:
         assert tiny_bucketlist.nbytes() > 0
 
 
-class TestFromHostGraph:
-    def test_preserves_deleted_ids(self, small_circuit):
-        host = HostGraph.from_csr(small_circuit)
-        from repro.graph.modifiers import VertexDelete
+def _from_host_graph_reference(host, gamma, capacity_factor):
+    """The per-vertex host rebuild :meth:`BucketListGraph.compacted`
+    replaced, kept as its reference."""
+    n = host.num_vertex_slots
+    capacity = max(n, int(math.ceil(n * capacity_factor)))
+    degrees = np.array([host.degree(u) for u in range(n)], dtype=np.int64)
+    counts = np.ceil(degrees / SLOTS_PER_BUCKET).astype(np.int64) + gamma
+    counts = np.maximum(counts, 1)
+    needed = int(counts.sum())
+    graph = BucketListGraph(capacity, needed + (capacity - n + 1), gamma=gamma)
+    graph.num_vertices = n
+    graph.bucket_count[:n] = counts
+    graph.bucket_start[1:n] = np.cumsum(counts[:-1])
+    graph.num_buckets_used = needed
+    for u in range(n):
+        if host.is_active(u):
+            graph.vertex_status[u] = STATUS_ACTIVE
+            graph.vwgt[u] = host.vwgt[u]
+            base = graph.bucket_start[u] * SLOTS_PER_BUCKET
+            for offset, (v, w) in enumerate(host.neighbors(u).items()):
+                graph.bucket_list[base + offset] = v
+                graph.slot_wgt[base + offset] = w
+    return graph
 
-        host.apply(VertexDelete(5))
-        graph = BucketListGraph.from_host_graph(host)
+
+class TestCompacted:
+    def test_preserves_deleted_ids(self, small_circuit):
+        ig = IGKway(small_circuit, PartitionConfig(k=2, seed=1))
+        ig.full_partition()
+        ig.apply([VertexDelete(5)])
+        graph = ig.graph.compacted()
         assert not graph.is_active(5)
         assert graph.is_active(4)
         graph.validate()
 
     def test_roundtrip_host(self, small_circuit):
-        host = HostGraph.from_csr(small_circuit)
-        graph = BucketListGraph.from_host_graph(host)
-        back = graph.to_host_graph()
+        source = BucketListGraph.from_csr(small_circuit)
+        host = source.to_host_graph()
+        back = source.compacted().to_host_graph()
         assert back.num_edges() == host.num_edges()
         for u in range(host.num_vertex_slots):
             assert back.adj[u] == host.adj[u]
+
+    @pytest.mark.parametrize("gamma,capacity_factor", [(0, 1.0), (1, 1.5)])
+    def test_matches_host_rebuild(self, gamma, capacity_factor):
+        """Same pool and vertex arrays as rebuilding from the host graph:
+        slots packed per vertex in their old order, deleted IDs kept
+        deleted with weight 1."""
+        source = traced_graph()
+        got = source.compacted(gamma=gamma, capacity_factor=capacity_factor)
+        want = _from_host_graph_reference(
+            source.to_host_graph(), gamma, capacity_factor
+        )
+        for name in (
+            "gamma",
+            "capacity",
+            "pool_buckets",
+            "num_vertices",
+            "num_buckets_used",
+        ):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in (
+            "bucket_list",
+            "slot_wgt",
+            "bucket_start",
+            "bucket_count",
+            "vertex_status",
+            "vwgt",
+        ):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        got.validate()
 
 
 @given(

@@ -1,9 +1,14 @@
 """FM hill-climbing refinement."""
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, mesh_graph_2d
+from repro.partition.refine import connectivity_matrix
 from repro.partition.fm import fm_pass, fm_refine
 from repro.partition.metrics import (
     cut_size_csr,
@@ -136,3 +141,160 @@ class TestFmRefine:
         partition = rng.integers(0, 2, small_mesh.num_vertices)
         fm_refine(small_mesh, partition, 2, 0.03, ctx=ctx)
         assert ctx.ledger.total.kernel_launches >= 1
+
+
+# -- exactness against the scalar reference ---------------------------------
+#
+# The pass below is the scalar formulation ``fm_pass`` replaced: one
+# ``_best_move`` loop over NumPy scalars per candidate and one heap push
+# per boundary vertex.  The list-based pass must reproduce it exactly.
+
+
+def _reference_best_move(conn_row, current, vertex_weight, part_weights,
+                         w_pmax):
+    k = conn_row.shape[0]
+    best_gain = None
+    best_target = None
+    for p in range(k):
+        if p == current:
+            continue
+        if part_weights[p] + vertex_weight > w_pmax:
+            continue
+        gain = int(conn_row[p] - conn_row[current])
+        if (
+            best_gain is None
+            or gain > best_gain
+            or (gain == best_gain and part_weights[p]
+                < part_weights[best_target])
+        ):
+            best_gain = gain
+            best_target = p
+    if best_gain is None:
+        return None
+    return best_gain, best_target
+
+
+def _reference_fm_pass(csr, partition, part_weights, k, w_pmax,
+                       max_moves=None):
+    n = csr.num_vertices
+    conn = connectivity_matrix(csr, partition, k).astype(np.int64)
+    vwgt = csr.vwgt
+    if max_moves is None:
+        max_moves = n
+
+    heap = []
+    for v in range(n):
+        current = int(partition[v])
+        internal = conn[v, current]
+        external = int(conn[v].sum()) - internal
+        if external == 0:
+            continue
+        move = _reference_best_move(conn[v], current, int(vwgt[v]),
+                                    part_weights, w_pmax)
+        if move is not None:
+            gain, target = move
+            heapq.heappush(heap, (-gain, v, target, gain))
+
+    locked = np.zeros(n, dtype=bool)
+    applied = []
+    cumulative = 0
+    best_cumulative = 0
+    best_prefix = 0
+
+    while heap and len(applied) < max_moves:
+        _neg, v, target, stamped_gain = heapq.heappop(heap)
+        if locked[v]:
+            continue
+        current = int(partition[v])
+        move = _reference_best_move(conn[v], current, int(vwgt[v]),
+                                    part_weights, w_pmax)
+        if move is None:
+            continue
+        gain, live_target = move
+        if gain != stamped_gain or live_target != target:
+            heapq.heappush(heap, (-gain, v, live_target, gain))
+            continue
+        locked[v] = True
+        partition[v] = target
+        part_weights[current] -= int(vwgt[v])
+        part_weights[target] += int(vwgt[v])
+        applied.append((v, current))
+        cumulative += gain
+        if cumulative > best_cumulative:
+            best_cumulative = cumulative
+            best_prefix = len(applied)
+        start, end = csr.xadj[v], csr.xadj[v + 1]
+        for w, wgt in zip(csr.adjncy[start:end], csr.adjwgt[start:end]):
+            w = int(w)
+            conn[w, current] -= wgt
+            conn[w, target] += wgt
+            if not locked[w]:
+                refreshed = _reference_best_move(
+                    conn[w], int(partition[w]), int(vwgt[w]),
+                    part_weights, w_pmax,
+                )
+                if refreshed is not None:
+                    heapq.heappush(
+                        heap, (-refreshed[0], w, refreshed[1], refreshed[0])
+                    )
+
+    for v, source in reversed(applied[best_prefix:]):
+        target = int(partition[v])
+        partition[v] = source
+        part_weights[target] -= int(vwgt[v])
+        part_weights[source] += int(vwgt[v])
+    return best_cumulative
+
+
+@given(
+    n=st.integers(2, 80),
+    density=st.floats(0.5, 4.0),
+    k=st.integers(2, 8),
+    skew=st.sampled_from([None, 0.5, 0.9]),
+    slack=st.integers(-3, 12),
+    max_moves=st.one_of(st.none(), st.integers(1, 12)),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_fm_pass_matches_scalar_reference(
+    n, density, k, skew, slack, max_moves, seed
+):
+    """Same moves, rollback and gain as the scalar pass: weighted edges
+    and vertices (as on coarse levels), random or skewed partitions with
+    parts above W_pmax, tight bounds that leave vertices without a
+    feasible target, and a ``max_moves`` cap that binds or not."""
+    rng = np.random.default_rng(seed)
+    m = int(n * density)
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, n, size=m)
+    keep = src != dst
+    edges = np.unique(
+        np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)[keep],
+        axis=0,
+    )
+    csr = CSRGraph.from_edges(
+        n,
+        edges,
+        edge_weights=rng.integers(1, 6, size=len(edges)),
+        vertex_weights=rng.integers(1, 5, size=n),
+    )
+    if skew is None:
+        partition = rng.integers(0, k, size=n)
+    else:
+        probs = np.full(k, (1.0 - skew) / (k - 1))
+        probs[0] = skew
+        partition = rng.choice(k, size=n, p=probs)
+    partition = partition.astype(np.int64)
+    weights = np.bincount(partition, weights=csr.vwgt, minlength=k).astype(
+        np.int64
+    )
+    w_pmax = max(1, csr.total_vertex_weight() // k + slack)
+
+    ref_partition, ref_weights = partition.copy(), weights.copy()
+    ref_gain = _reference_fm_pass(
+        csr, ref_partition, ref_weights, k, w_pmax, max_moves=max_moves
+    )
+    gain = fm_pass(csr, partition, weights, k, w_pmax, max_moves=max_moves)
+    assert gain == ref_gain
+    assert np.array_equal(partition, ref_partition)
+    assert np.array_equal(weights, ref_weights)

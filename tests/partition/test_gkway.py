@@ -1,5 +1,7 @@
 """End-to-end multilevel G-kway full partitioning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,46 @@ class TestConfig:
         assert cfg.k == 8
         assert cfg.epsilon == 0.05
         assert cfg.group_size == 6
+
+
+#: ``(cells, edge_ratio, k, seed, warp instructions, transactions,
+#: partition sha256)`` of full partitions of the circuit shapes the
+#: end-to-end benchmark serves.  Any change to coarsening, initial
+#: partitioning or refinement (FM included) that moves a label or a
+#: charged cost shows here.
+PINNED_FGP = [
+    (3000, 1.4, 8, 0, 669540, 437466,
+     "2152c3b21ff0e8f7c316694028a00bb2e4ea9f8834cb9db8ff848a55a058ad0f"),
+    (3000, 1.4, 8, 1, 811780, 490117,
+     "7b7770daa30a028f13fc343d902c2e81bb2345cb19e868cfc5dd68df23de0f10"),
+    (3000, 1.4, 8, 2, 818632, 523982,
+     "f0f43df99e30d82c3770d140c23004e4be7a1d0b7c4d91863630cef01a5ce5ad"),
+    (6000, 1.3, 8, 0, 1651252, 978332,
+     "3a3f6f4afbce1fde7737e9f114fc647326a6c03dfd723a14a9206435a07f6a96"),
+    (6000, 1.3, 8, 1, 1735768, 1064500,
+     "ef117d7462f25faa74e3a66e36951810172297e4edc61933bdf7818c8bc96190"),
+    (6000, 1.3, 8, 2, 1750508, 1010814,
+     "30b8f591f0da29408d907d4b32b1d3b014070f7ffa23a226de2bc17a58efa394"),
+    (1200, 1.3, 4, 0, 568736, 172290,
+     "c18e1dd344baae2340c235902082fb2bd6cd9692591fa2ccd7e0601b9eb221ad"),
+    (1200, 1.3, 4, 1, 556976, 152361,
+     "7ef4eca7122b765092c5b568a93b88ab9c05409a5415e09f0f30f51b8941fac6"),
+    (1200, 1.3, 4, 2, 549836, 160054,
+     "b02a8db40173f1c51d252085d7bf9aba268cb7b0c1b9dd3992f251ac63b376c2"),
+]
+
+
+@pytest.mark.parametrize(
+    "cells,edge_ratio,k,seed,instructions,transactions,digest", PINNED_FGP
+)
+def test_pinned_fgp_digests(
+    cells, edge_ratio, k, seed, instructions, transactions, digest
+):
+    ctx = GpuContext()
+    result = GKwayPartitioner(
+        PartitionConfig(k=k, seed=seed), ctx=ctx
+    ).partition(circuit_graph(cells, edge_ratio, seed=seed))
+    labels = np.ascontiguousarray(result.partition, dtype=np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+    assert ctx.ledger.total.warp_instructions == instructions
+    assert ctx.ledger.total.transactions == transactions

@@ -22,7 +22,11 @@ def _record():
         "final_cut": 76,
         "partition_sha256": "e40f",
         "device_seconds": {"modification": 1e-3, "partitioning": 2e-3},
-        "host_seconds": {"cut-size": 0.001, "sweep_total": 0.5},
+        "host_seconds": {
+            "full-partition": 0.2,
+            "cut-size": 0.001,
+            "sweep_total": 0.5,
+        },
     }
 
 
@@ -42,3 +46,21 @@ def test_slow_cut_read_fails(perf_gate):
     failures = perf_gate.compare(_record(), fresh)
     assert len(failures) == 1
     assert "no longer incremental" in failures[0]
+
+
+def test_slow_full_partition_fails(perf_gate):
+    """The initial full partition is gated like the sweep: the same
+    tolerance and absolute floor over its baseline."""
+    fresh = _record()
+    fresh["host_seconds"]["full-partition"] = 0.2 * 1.2 + 0.06
+    failures = perf_gate.compare(_record(), fresh)
+    assert len(failures) == 1
+    assert "full-partition regressed" in failures[0]
+
+
+def test_missing_full_partition_phase_fails(perf_gate):
+    fresh = _record()
+    del fresh["host_seconds"]["full-partition"]
+    failures = perf_gate.compare(_record(), fresh)
+    assert len(failures) == 1
+    assert "full-partition" in failures[0]

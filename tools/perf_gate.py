@@ -8,9 +8,11 @@ and compares it against the ``gate`` section of the checked-in
   digest and simulated device-seconds must match the baseline exactly.
   A mismatch means the cost-parity or bit-identity contract broke, not
   that the machine is slow, so it always fails the gate.
-* **host wall-clock** — the sweep must not regress more than
+* **host wall-clock** — the sweep and the initial full partition
+  (its ``full-partition`` phase) must each not regress more than
   ``TOLERANCE`` (20%) over the baseline, with an absolute floor so
-  sub-100ms jitter on a loaded machine cannot flake the gate.
+  sub-100ms jitter on a loaded machine cannot flake the gate.  A run
+  that records no ``full-partition`` phase fails.
 * **cut-size host fraction** — the per-batch cut read must stay an
   incremental O(k^2) lookup: its host time may not exceed
   ``CUT_HOST_FRACTION`` of the sweep (plus a jitter floor).  Before the
@@ -87,14 +89,21 @@ def compare(baseline_gate: dict, fresh: dict) -> list[str]:
                 "(cost-parity contract violation)"
             )
 
-    base_host = baseline_gate["host_seconds"]["sweep_total"]
+    for phase in ("sweep_total", "full-partition"):
+        base_host = baseline_gate["host_seconds"][phase]
+        fresh_host = fresh["host_seconds"].get(phase)
+        if fresh_host is None:
+            failures.append(
+                f"the run recorded no {phase!r} phase, so its host time "
+                "cannot be checked (span renamed or lost?)"
+            )
+        elif fresh_host > base_host * (1.0 + TOLERANCE) + ABSOLUTE_FLOOR:
+            failures.append(
+                f"host {phase} regressed: {fresh_host:.3f}s > "
+                f"{base_host:.3f}s * {1 + TOLERANCE:.2f} + {ABSOLUTE_FLOOR}s"
+            )
+
     fresh_host = fresh["host_seconds"]["sweep_total"]
-    limit = base_host * (1.0 + TOLERANCE) + ABSOLUTE_FLOOR
-    if fresh_host > limit:
-        failures.append(
-            f"host sweep regressed: {fresh_host:.3f}s > "
-            f"{base_host:.3f}s * {1 + TOLERANCE:.2f} + {ABSOLUTE_FLOOR}s"
-        )
 
     cut_host = fresh["host_seconds"].get("cut-size")
     cut_limit = CUT_HOST_FRACTION * fresh_host + CUT_HOST_FLOOR
