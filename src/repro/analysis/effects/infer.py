@@ -15,7 +15,7 @@ catalog):
                      ``with ledger.kernel(...)`` block; discharged when a
                      caller forwards it from inside one
 ``wal.append``       ``append_create``/``append_settle`` (the serve WAL)
-``journal.append``   ``log_modifier``/``log_flush``/``log_dead_letter``/
+``journal.append``   ``log_modifiers``/``log_flush``/``log_dead_letter``/
                      ``write_checkpoint`` (the stream journal)
 ``fsync``            ``os.fsync``
 ``socket.send``      ``write_frame``/``write_frame_async``/``sendall`` or
@@ -77,7 +77,7 @@ WAL_APPEND_METHODS: frozenset = frozenset(
     {"append_create", "append_settle"}
 )
 JOURNAL_APPEND_METHODS: frozenset = frozenset(
-    {"log_modifier", "log_flush", "log_dead_letter", "write_checkpoint"}
+    {"log_modifiers", "log_flush", "log_dead_letter", "write_checkpoint"}
 )
 SOCKET_SEND_NAMES: frozenset = frozenset(
     {"write_frame", "write_frame_async", "sendall"}

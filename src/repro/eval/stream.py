@@ -65,9 +65,9 @@ def run_stream_experiment(
     """Stream a synthetic trace through a session and measure it.
 
     The trace comes from :func:`repro.eval.workloads.generate_trace`
-    (the paper's TAU-2015-style workload), but is submitted modifier by
-    modifier instead of batch by batch — the scheduler, not the trace,
-    decides the batch boundaries.
+    (the paper's TAU-2015-style workload), but is submitted as one flat
+    modifier list instead of batch by batch — the scheduler, not the
+    trace, decides the batch boundaries.
 
     ``trace_path`` activates :mod:`repro.obs` tracing for the whole run
     and writes the span/kernel trace there as JSONL (feed it to
@@ -109,13 +109,11 @@ def run_stream_experiment(
     if tracer is not None:
         with tracer.activate():
             full = session.start()
-            for modifier in modifiers:
-                session.submit(modifier)
+            session.submit_many(modifiers)
             session.drain()
     else:
         full = session.start()
-        for modifier in modifiers:
-            session.submit(modifier)
+        session.submit_many(modifiers)
         session.drain()
     wall = time.perf_counter() - started
     if tracer is not None:

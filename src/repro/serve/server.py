@@ -962,7 +962,7 @@ class PartitionServer:
             )
 
         def work():
-            return [entry.session.submit(m) for m in modifiers]
+            return entry.session.submit_many(modifiers)
 
         seqs = await self._run_on_worker(entry, account, work)
         return ok_response(

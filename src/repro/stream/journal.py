@@ -17,13 +17,22 @@ Crash model: the process can die at any point.  Recovery then
    queue.
 
 A torn final line (the write the crash interrupted) is tolerated and
-discarded; everything before it is trusted.  Opening the log for
-appending first truncates that torn tail (:func:`trim_torn_tail`) so a
-post-crash append can never merge a valid record onto the interrupted
-one — without the trim, every record after the tear would be silently
+discarded; everything before it is trusted.  The first open for
+appending after construction (or an explicit :meth:`~StreamJournal.close`)
+truncates that torn tail (:func:`trim_torn_tail`) so a post-crash
+append can never merge a valid record onto the interrupted one —
+without the trim, every record after the tear would be silently
 discarded on the *next* recovery.  Checkpointing compacts the log,
 dropping records at or below the new cursor so the journal stays
-proportional to the un-checkpointed window, not the stream's lifetime.
+proportional to the un-checkpointed window, not the stream's lifetime;
+the kept lines are copied verbatim, and the reopen after compaction
+skips the trim (compaction leaves only complete lines).
+
+Write cost: :meth:`StreamJournal.log_modifiers` takes every modifier a
+submit accepted between two flush triggers and appends their ``"m"``
+records in one ``write`` + ``flush``, each line formatted directly
+(:func:`modifier_line`) but byte-identical to the ``json.dumps`` of the
+record that flush and dead-letter records still use.
 
 Checkpoint durability: the npz is written to a temp file, fsynced,
 rotated over the previous checkpoint (kept as ``checkpoint.prev.npz``),
@@ -85,6 +94,41 @@ def encode_modifier(modifier: Modifier) -> dict:
     if isinstance(modifier, EdgeDelete):
         return {"t": "ed", "u": modifier.u, "v": modifier.v}
     raise JournalError(f"cannot journal unknown modifier {modifier!r}")
+
+
+def _dumps(record: dict) -> str:
+    """One journal line: compact JSON plus the newline commit marker."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def modifier_line(seq: int, modifier: Modifier) -> str:
+    """The ``"m"`` journal line of one ingested modifier.
+
+    Formatted directly when every field is an ``int``, which prints the
+    same bytes as :func:`_dumps` of ``{"r": "m", "s": seq, ...}`` at a
+    fraction of its cost; any other field type goes through
+    :func:`_dumps` itself.
+    """
+    kind = type(modifier)
+    if kind is EdgeInsert:
+        template = '{"r":"m","s":%d,"t":"ei","u":%d,"v":%d,"w":%d}\n'
+        fields = (seq, modifier.u, modifier.v, modifier.weight)
+    elif kind is EdgeDelete:
+        template = '{"r":"m","s":%d,"t":"ed","u":%d,"v":%d}\n'
+        fields = (seq, modifier.u, modifier.v)
+    elif kind is VertexInsert:
+        template = '{"r":"m","s":%d,"t":"vi","u":%d,"w":%d}\n'
+        fields = (seq, modifier.u, modifier.weight)
+    elif kind is VertexDelete:
+        template = '{"r":"m","s":%d,"t":"vd","u":%d}\n'
+        fields = (seq, modifier.u)
+    else:
+        fields = ()
+    if fields and all(type(value) is int for value in fields):
+        return template % fields
+    record = {"r": "m", "s": seq}
+    record.update(encode_modifier(modifier))
+    return _dumps(record)
 
 
 def decode_modifier(record: dict) -> Modifier:
@@ -169,6 +213,10 @@ class StreamJournal:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._log: Optional[TextIO] = None
+        # Whether the next open-for-append must trim a torn tail: set at
+        # construction and by close(), cleared once this object has
+        # trimmed the log or rewritten it by compaction.
+        self._trim_on_open = True
         # Cursors of the on-disk checkpoints, when this object knows
         # them (None = unknown, e.g. a fresh object over an existing
         # directory).  Compaction is skipped while the previous
@@ -199,22 +247,31 @@ class StreamJournal:
 
     def _handle(self) -> TextIO:
         if self._log is None:
-            # First open-for-append after (re)construction: drop any
-            # crash-torn tail so new records land on a clean boundary.
-            trim_torn_tail(self.log_path)
+            if self._trim_on_open:
+                # First open-for-append since construction or close():
+                # drop any crash-torn tail so new records land on a
+                # clean boundary.
+                trim_torn_tail(self.log_path)
+                self._trim_on_open = False
             self._log = self.log_path.open("a", encoding="utf-8")
         return self._log
 
-    def _append(self, record: dict) -> None:
+    def _write(self, text: str) -> None:
         handle = self._handle()
-        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        handle.write(text)
         handle.flush()
 
-    def log_modifier(self, seq: int, modifier: Modifier) -> None:
-        """Durably record one ingested modifier before it is queued."""
-        record = {"r": "m", "s": seq}
-        record.update(encode_modifier(modifier))
-        self._append(record)
+    def _append(self, record: dict) -> None:
+        self._write(_dumps(record))
+
+    def log_modifiers(
+        self, entries: Sequence[Tuple[int, Modifier]]
+    ) -> None:
+        """Durably record ingested ``(seq, modifier)`` entries, in one
+        write, before any of them can be flushed."""
+        self._write(
+            "".join([modifier_line(seq, mod) for seq, mod in entries])
+        )
 
     def log_flush(
         self,
@@ -309,26 +366,29 @@ class StreamJournal:
         if self._log is not None:
             self._log.close()
             self._log = None
+        # Every line was written as _dumps(record), so copying it
+        # verbatim equals re-encoding its parsed record.
         keep: List[str] = []
-        for record in self._read_records():
+        for line, record in self._read_records():
             if record["r"] == "m" and record["s"] <= applied_seq:
                 continue
             if record["r"] == "f" and record["b"] <= applied_seq:
                 continue
-            keep.append(json.dumps(record, separators=(",", ":")))
+            keep.append(line + "\n")
         tmp = self.directory / (LOG_NAME + ".tmp")
-        tmp.write_text(
-            "\n".join(keep) + ("\n" if keep else ""), encoding="utf-8"
-        )
+        tmp.write_text("".join(keep), encoding="utf-8")
         os.replace(tmp, self.log_path)
+        # The rewritten log holds only complete lines: no tail to trim.
+        self._trim_on_open = False
 
     # -- recovery ------------------------------------------------------------------
 
-    def _read_records(self) -> List[dict]:
-        """Parse the log, discarding the torn tail a crash may leave."""
-        records: List[dict] = []
+    def _read_records(self) -> List[Tuple[str, dict]]:
+        """Parse the log into ``(line, record)`` pairs (``line`` without
+        its newline), discarding the torn tail a crash may leave."""
+        pairs: List[Tuple[str, dict]] = []
         if not self.log_path.exists():
-            return records
+            return pairs
         with self.log_path.open("r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -340,8 +400,8 @@ class StreamJournal:
                     break  # torn write: trust nothing at or after it
                 if "r" not in record:
                     break
-                records.append(record)
-        return records
+                pairs.append((line, record))
+        return pairs
 
     def _load_latest_checkpoint(
         self, ctx: GpuContext | None
@@ -382,7 +442,7 @@ class StreamJournal:
         partitioner, meta = self._load_latest_checkpoint(ctx)
         state = JournalState(partitioner=partitioner, meta=meta)
         applied = state.applied_seq
-        for record in self._read_records():
+        for _line, record in self._read_records():
             if record["r"] == "m":
                 if record["s"] > applied:
                     state.modifiers[record["s"]] = decode_modifier(record)
@@ -413,3 +473,5 @@ class StreamJournal:
         if self._log is not None:
             self._log.close()
             self._log = None
+        # Whatever touches the released log next may tear it.
+        self._trim_on_open = True

@@ -1,13 +1,18 @@
 """The streaming partition service: one live, recoverable session.
 
 ``StreamSession`` turns the repo's batch-replay partitioner into a
-*service*: producers push individual modifiers through a bounded ingest
-queue; the coalescer collapses redundant work; the scheduler flushes
-well-sized batches into :class:`~repro.core.adaptive.AdaptiveIGKway`
-(so the paper's volume/quality fallback is driven by the stream, not
-the caller); and an optional journal makes the whole pipeline crash
+*service*: producers push modifiers through a bounded ingest queue; the
+coalescer collapses redundant work; the scheduler flushes well-sized
+batches into :class:`~repro.core.adaptive.AdaptiveIGKway` (so the
+paper's volume/quality fallback is driven by the stream, not the
+caller); and an optional journal makes the whole pipeline crash
 recoverable — ``StreamSession.recover(path)`` lands bit-identical to
 the uninterrupted run.
+
+A producer's request is ingested in one pass by :meth:`submit_many`:
+every modifier is sequenced, counted and charged exactly as if it were
+submitted alone, but the journal gets one write per request (one more
+before each flush the request triggers).
 
 Quickstart::
 
@@ -22,6 +27,7 @@ Quickstart::
     )
     session.start()
     session.submit(EdgeInsert(3, 77))     # queued, journaled
+    session.submit_many(mods)             # one journal write for all
     ...                                    # scheduler flushes adaptively
     session.drain()                        # force everything through
     print(session.metrics()["cut_drift"])
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import AdaptiveIGKway, AdaptiveReport
 from repro.core.igkway import FullPartitionReport
@@ -285,34 +291,93 @@ class StreamSession:
     # -- ingest --------------------------------------------------------------------
 
     def submit(self, modifier: Modifier) -> int:
-        """Accept one modifier; returns its journal sequence number.
+        """Accept one modifier; returns its journal sequence number."""
+        return self.submit_many([modifier])[0]
+
+    def submit_many(self, modifiers: Sequence[Modifier]) -> List[int]:
+        """Accept modifiers in order; returns their sequence numbers.
+
+        Exactly equivalent to submitting them one at a time — the same
+        sequence numbers, flush points, telemetry, ledger counters and
+        journal bytes — but the records accepted between two flush
+        triggers reach the journal in one write, and the ingest host
+        ops (one per modifier) are charged in bulk before anything
+        reads the clock or flushes.
 
         May synchronously flush (backpressure under the ``"block"``
         policy, or a scheduler trigger firing).  Raises
-        :class:`BackpressureError` when full under ``"reject"``.
+        :class:`BackpressureError` when full under ``"reject"``; the
+        modifiers accepted before that one stay queued and journaled.
         """
         self._require_started()
-        if self.queue.is_full():
-            if self.queue.policy == "block":
-                self.flush(reason="backpressure")
-            else:
-                self.telemetry.record_reject()
-                raise BackpressureError(
-                    f"ingest queue full "
-                    f"({self.queue.capacity} pending modifiers)"
-                )
+        queue = self.queue
         ledger = self.partitioner.ctx.ledger
-        with ledger.section("stream_ingest"):
-            ledger.charge_host_ops(1)
-        was_empty = self.queue.is_empty()
-        seq = self.queue.offer(modifier)
-        if self.journal is not None:
-            self.journal.log_modifier(seq, modifier)
-        self.telemetry.record_ingest(self.queue.depth)
-        if was_empty:
-            self._window_opened_cycles = self._clock()
-        self._maybe_flush()
-        return seq
+        has_deadline = self.scheduler.config.max_latency_cycles is not None
+        accepted: List[Tuple[int, Modifier]] = []
+        # Accepted modifiers are charged (one host op each) before
+        # anything reads the clock or flushes, and journaled before any
+        # flush, error or return: the ledger and the log then read as
+        # if each modifier had been submitted alone.
+        charged = journaled = 0
+
+        def charge() -> None:
+            nonlocal charged
+            if len(accepted) > charged:
+                with ledger.section("stream_ingest"):
+                    ledger.charge_host_ops(len(accepted) - charged)
+                charged = len(accepted)
+
+        def log() -> None:
+            nonlocal journaled
+            charge()
+            entries = accepted[journaled:]
+            journaled = len(accepted)
+            if entries and self.journal is not None:
+                self.journal.log_modifiers(entries)
+
+        # The size target reads the live vertex count, which only an
+        # applied window changes: compute it once, and again after a
+        # flush.
+        target: Optional[int] = None
+        try:
+            for modifier in modifiers:
+                if queue.is_full():
+                    if queue.policy != "block":
+                        self.telemetry.record_reject()
+                        raise BackpressureError(
+                            f"ingest queue full "
+                            f"({queue.capacity} pending modifiers)"
+                        )
+                    log()
+                    self.flush(reason="backpressure")
+                    target = None
+                was_empty = queue.is_empty()
+                seq = queue.offer(modifier)
+                accepted.append((seq, modifier))
+                self.telemetry.record_ingest(queue.depth)
+                if was_empty:
+                    charge()
+                    self._window_opened_cycles = self._clock()
+                if target is None:
+                    target = self.scheduler.size_target(self.partitioner)
+                if queue.depth < target and not has_deadline:
+                    continue  # should_flush would return None
+                charge()
+                while True:
+                    reason = self.scheduler.should_flush(
+                        self.partitioner,
+                        queue.depth,
+                        self._window_opened_cycles,
+                        self._clock(),
+                    )
+                    if reason is None:
+                        break
+                    log()
+                    self.flush(reason=reason)
+                    target = None
+        finally:
+            log()
+        return [seq for seq, _modifier in accepted]
 
     # -- flushing ------------------------------------------------------------------
 
@@ -338,18 +403,6 @@ class StreamSession:
             if report is not None:
                 reports.append(report)
         return reports
-
-    def _maybe_flush(self) -> None:
-        while True:
-            reason = self.scheduler.should_flush(
-                self.partitioner,
-                self.queue.depth,
-                self._window_opened_cycles,
-                self._clock(),
-            )
-            if reason is None:
-                return
-            self.flush(reason=reason)
 
     def _apply_window(
         self, window: List[SequencedModifier], reason: str

@@ -17,6 +17,7 @@ from repro.analysis.effects.fixtures import (
     run_fixture,
     run_selftest,
 )
+from repro.analysis.effects.infer import infer_effects
 from repro.analysis.effects.invariants import (
     INVARIANTS,
     run_effects_analysis,
@@ -165,3 +166,16 @@ class TestRealTree:
         assert elapsed < 10.0, f"effects pass took {elapsed:.1f}s"
         # Sanity: the pass actually analyzed the tree.
         assert timing.n_functions > 500
+
+    def test_submit_journals_before_ack(self):
+        # wal-after-ack holds for submit only if the analysis sees the
+        # journal write behind the worker closure at all.
+        engine = infer_effects([REPO_SRC])
+        sig = engine.signature(
+            "repro.serve.server.PartitionServer._op_submit"
+        )
+        assert "journal.append" in sig.effects
+        journal = sig.first_index(frozenset({"journal.append"}), engine)
+        ack = sig.first_index(frozenset({"ack"}), engine)
+        assert journal is not None and ack is not None
+        assert journal < ack

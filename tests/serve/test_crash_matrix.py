@@ -6,9 +6,10 @@ never a third value.  The durable prefix on disk at the kill point is
 captured with a directory snapshot (exactly what a dead process leaves
 behind), then recovered by a fresh registry.
 
-The matrix crosses the kill points with {submit, flush, evict}: each
-op's first durable append is instrumented so snapshots land immediately
-before and after the write-ahead record, plus after the op acks.
+The matrix crosses the kill points with {submit, submit_many, flush,
+evict}: each op's first durable append is instrumented so snapshots
+land immediately before and after the write-ahead record, plus after
+the op acks.
 """
 
 import shutil
@@ -71,10 +72,17 @@ def _instrument_first(obj, method_name, before, after):
 #: op name -> (journal method carrying its first durable write, action).
 CASES = {
     "submit": (
-        "log_modifier",
+        "log_modifiers",
         lambda entry: entry.session.submit(
             EdgeInsert(u=3, v=77)
         ),
+    ),
+    # Three modifiers on the fixture's 5 pending, under its size target
+    # of 9: no flush fires, so all three records go out in one write
+    # and a kill can land only before or after it.
+    "submit_many": (
+        "log_modifiers",
+        lambda entry: entry.session.submit_many(_mods(3, start=17)),
     ),
     "flush": (
         "log_flush",

@@ -14,12 +14,25 @@ from repro.graph import (
     VertexInsert,
 )
 from repro.stream import StreamJournal
+from repro.stream import journal as journal_module
 from repro.stream.journal import (
     decode_modifier,
     encode_modifier,
+    modifier_line,
     trim_torn_tail,
 )
 from repro.utils import JournalError
+
+
+def _dumps(record):
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _record_line(seq, modifier):
+    """An ``"m"`` line as ``json.dumps`` writes it."""
+    record = {"r": "m", "s": seq}
+    record.update(encode_modifier(modifier))
+    return _dumps(record)
 
 
 @pytest.fixture
@@ -47,6 +60,45 @@ class TestModifierCodec:
             decode_modifier({"t": "xx"})
 
 
+class TestModifierRecordBytes:
+    MODIFIERS = [
+        VertexInsert(2**40, weight=7),
+        VertexDelete(10**15),
+        EdgeInsert(123456789, 0, weight=3),
+        EdgeDelete(0, 2**62),
+        VertexInsert(-1, weight=1),
+    ]
+
+    def test_lines_equal_json_dumps(self):
+        for seq, mod in enumerate(self.MODIFIERS, start=2**33):
+            assert modifier_line(seq, mod) == _record_line(seq, mod)
+
+    @pytest.mark.parametrize(
+        "modifier",
+        [
+            EdgeInsert(1, 2, weight=2.5),
+            EdgeInsert(1, 2, weight=True),
+            VertexInsert(4, weight=float("inf")),
+        ],
+    )
+    def test_non_int_fields_take_the_json_path(self, modifier):
+        assert modifier_line(9, modifier) == _record_line(9, modifier)
+
+    def test_log_modifiers_writes_the_json_bytes(
+        self, partitioner, tmp_path
+    ):
+        journal = StreamJournal(tmp_path / "j")
+        entries = list(enumerate(self.MODIFIERS, start=5))
+        journal.log_modifiers(entries)
+        journal.close()
+        assert journal.log_path.read_text(encoding="utf-8") == "".join(
+            _record_line(seq, mod) for seq, mod in entries
+        )
+        journal.write_checkpoint(partitioner, {"applied_seq": 4})
+        state = StreamJournal(tmp_path / "j").load()
+        assert state.modifiers == dict(entries)
+
+
 class TestLogAndLoad:
     def test_load_without_checkpoint_raises(self, tmp_path):
         journal = StreamJournal(tmp_path / "j")
@@ -59,8 +111,7 @@ class TestLogAndLoad:
         journal = StreamJournal(tmp_path / "j")
         journal.write_checkpoint(partitioner, {"applied_seq": -1})
         mods = [EdgeInsert(0, 9), EdgeDelete(0, 9), VertexInsert(300)]
-        for seq, mod in enumerate(mods):
-            journal.log_modifier(seq, mod)
+        journal.log_modifiers(list(enumerate(mods)))
         journal.log_flush(0, 1, "size")
         journal.close()
 
@@ -73,8 +124,9 @@ class TestLogAndLoad:
     def test_torn_tail_is_discarded(self, partitioner, tmp_path):
         journal = StreamJournal(tmp_path / "j")
         journal.write_checkpoint(partitioner, {"applied_seq": -1})
-        journal.log_modifier(0, EdgeInsert(0, 9))
-        journal.log_modifier(1, EdgeInsert(0, 10))
+        journal.log_modifiers(
+            [(0, EdgeInsert(0, 9)), (1, EdgeInsert(0, 10))]
+        )
         journal.close()
         # Simulate a crash mid-write: the final line is half a record.
         with journal.log_path.open("a") as handle:
@@ -88,7 +140,7 @@ class TestLogAndLoad:
     ):
         journal = StreamJournal(tmp_path / "j")
         journal.write_checkpoint(partitioner, {"applied_seq": -1})
-        journal.log_modifier(0, EdgeInsert(0, 9))
+        journal.log_modifiers([(0, EdgeInsert(0, 9))])
         journal.log_flush(0, 3, "size")  # seqs 1-3 never logged
         journal.close()
         with pytest.raises(JournalError, match="unlogged"):
@@ -119,8 +171,9 @@ class TestCompaction:
     ):
         journal = StreamJournal(tmp_path / "j")
         journal.write_checkpoint(partitioner, {"applied_seq": -1})
-        for seq in range(6):
-            journal.log_modifier(seq, EdgeInsert(0, 9 + seq))
+        journal.log_modifiers(
+            [(seq, EdgeInsert(0, 9 + seq)) for seq in range(6)]
+        )
         journal.log_flush(0, 3, "size")
         # One checkpoint covering seqs <= 3 is not enough to drop them:
         # the previous on-disk checkpoint (cursor -1) is the corruption
@@ -169,8 +222,9 @@ class TestCompaction:
     ):
         journal = StreamJournal(tmp_path / "j")
         journal.write_checkpoint(partitioner, {"applied_seq": -1})
-        journal.log_modifier(0, EdgeInsert(0, 9))
-        journal.log_modifier(1, EdgeInsert(0, 10))
+        journal.log_modifiers(
+            [(0, EdgeInsert(0, 9)), (1, EdgeInsert(0, 10))]
+        )
         journal.log_flush(0, 1, "size", excluded=[1])
         journal.log_dead_letter(1, EdgeInsert(0, 10), "poison")
         # Two checkpoints past the flush: every covered m/f record is
@@ -183,6 +237,102 @@ class TestCompaction:
         assert state.modifiers == {}
         assert state.flushes == []
         assert state.dead_letters == {1: "poison"}
+
+
+    def test_compaction_keeps_lines_verbatim(self, partitioner, tmp_path):
+        journal = StreamJournal(tmp_path / "j")
+        journal.write_checkpoint(partitioner, {"applied_seq": -1})
+        mods = [
+            EdgeInsert(0, 9, weight=2),
+            VertexInsert(300, weight=4),
+            EdgeDelete(0, 9),
+            VertexDelete(301),
+            EdgeInsert(5, 2**40),
+        ]
+        journal.log_modifiers(list(enumerate(mods)))
+        journal.log_flush(0, 3, "size", excluded=[3])
+        journal.log_dead_letter(
+            3, mods[3], "vertex 301 \u00e9t\u00e9 \u2713 \u4e2d"
+        )
+        journal.log_flush(4, 4, "deadline")
+        journal.write_checkpoint(partitioner, {"applied_seq": 3})
+        before = journal.log_path.read_text(encoding="utf-8")
+        journal.write_checkpoint(partitioner, {"applied_seq": 3})
+        # The re-encoding loop compaction used before it kept lines
+        # verbatim.
+        keep = []
+        for line in before.splitlines():
+            record = json.loads(line)
+            if record["r"] == "m" and record["s"] <= 3:
+                continue
+            if record["r"] == "f" and record["b"] <= 3:
+                continue
+            keep.append(json.dumps(record, separators=(",", ":")))
+        expected = "\n".join(keep) + ("\n" if keep else "")
+        assert journal.log_path.read_bytes() == expected.encode("utf-8")
+        assert [json.loads(line)["r"] for line in keep] == ["m", "d", "f"]
+        journal.close()
+
+
+class TestTrimOnOpen:
+    @pytest.fixture
+    def trim_calls(self, monkeypatch):
+        calls = []
+        real = journal_module.trim_torn_tail
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(journal_module, "trim_torn_tail", counting)
+        return calls
+
+    def test_reopen_after_compaction_skips_trim(
+        self, partitioner, tmp_path, trim_calls
+    ):
+        journal = StreamJournal(tmp_path / "j")
+        journal.write_checkpoint(partitioner, {"applied_seq": -1})
+        journal.log_modifiers([(0, EdgeInsert(0, 9))])
+        assert len(trim_calls) == 1  # first open after construction
+        journal.log_flush(0, 0, "size")
+        journal.write_checkpoint(partitioner, {"applied_seq": 0})
+        journal.log_modifiers([(1, EdgeInsert(0, 10))])
+        assert len(trim_calls) == 1
+        journal.close()
+
+    def test_new_journal_on_torn_log_still_trims(
+        self, partitioner, tmp_path, trim_calls
+    ):
+        journal = StreamJournal(tmp_path / "j")
+        journal.write_checkpoint(partitioner, {"applied_seq": -1})
+        journal.log_modifiers([(0, EdgeInsert(0, 9))])
+        journal.close()
+        with journal.log_path.open("a") as handle:
+            handle.write('{"r":"m","s":1,"t":"ei",')
+        fresh = StreamJournal(tmp_path / "j")
+        fresh.log_modifiers([(1, EdgeInsert(3, 14))])
+        fresh.close()
+        assert len(trim_calls) == 2
+        assert journal.log_path.read_text(encoding="utf-8") == (
+            _record_line(0, EdgeInsert(0, 9))
+            + _record_line(1, EdgeInsert(3, 14))
+        )
+
+    def test_append_after_close_trims_again(
+        self, partitioner, tmp_path, trim_calls
+    ):
+        journal = StreamJournal(tmp_path / "j")
+        journal.log_modifiers([(0, EdgeInsert(0, 9))])
+        journal.close()
+        with journal.log_path.open("a") as handle:
+            handle.write('{"r":"m"')
+        journal.log_modifiers([(1, EdgeInsert(3, 14))])
+        journal.close()
+        assert len(trim_calls) == 2
+        assert sorted(
+            json.loads(line)["s"]
+            for line in journal.log_path.read_text().splitlines()
+        ) == [0, 1]
 
 
 class TestCheckpointCorruption:
@@ -242,8 +392,9 @@ class TestCheckpointCorruption:
         be able to replay forward after the newest one is lost."""
         journal = StreamJournal(tmp_path / "j")
         journal.write_checkpoint(partitioner, {"applied_seq": -1})
-        for seq in range(4):
-            journal.log_modifier(seq, EdgeInsert(0, 9 + seq))
+        journal.log_modifiers(
+            [(seq, EdgeInsert(0, 9 + seq)) for seq in range(4)]
+        )
         journal.log_flush(0, 3, "size")
         journal.write_checkpoint(partitioner, {"applied_seq": 3})
         # Newest checkpoint (cursor 3) torn; fall back to cursor -1.
@@ -260,8 +411,9 @@ class TestTrimTornTail:
     def _log_two(self, partitioner, tmp_path):
         journal = StreamJournal(tmp_path / "j")
         journal.write_checkpoint(partitioner, {"applied_seq": -1})
-        journal.log_modifier(0, EdgeInsert(0, 9))
-        journal.log_modifier(1, EdgeInsert(0, 10))
+        journal.log_modifiers(
+            [(0, EdgeInsert(0, 9)), (1, EdgeInsert(0, 10))]
+        )
         journal.close()
         return journal
 
@@ -305,7 +457,7 @@ class TestTrimTornTail:
         # A recovered process appends: the torn line must be truncated
         # first, or the new record glues onto the half-written one.
         fresh = StreamJournal(tmp_path / "j")
-        fresh.log_modifier(2, EdgeInsert(3, 14))
+        fresh.log_modifiers([(2, EdgeInsert(3, 14))])
         fresh.close()
         state = StreamJournal(tmp_path / "j").load()
         assert state.modifiers[2] == EdgeInsert(3, 14)
