@@ -151,7 +151,6 @@ class ShadowTracker:
         self._launch: "_LaunchState | None" = None
         self._depth = 0
         self._atomic_depth = 0
-        self._suppress = 0
         self._index_maps: dict[str, np.ndarray] = {}
 
     # -- launch scoping (called by repro.gpusim.kernel) ---------------------
@@ -210,19 +209,10 @@ class ShadowTracker:
         finally:
             self._atomic_depth -= 1
 
-    @contextmanager
-    def suppressed(self) -> Iterator[None]:
-        """Hide accesses in the block from the tracker (introspection)."""
-        self._suppress += 1
-        try:
-            yield
-        finally:
-            self._suppress -= 1
-
     @property
     def active(self) -> bool:
         """True when accesses would currently be recorded."""
-        return self._launch is not None and self._suppress == 0
+        return self._launch is not None
 
     # -- event recording -----------------------------------------------------
 
@@ -238,7 +228,7 @@ class ShadowTracker:
         supported uniformly.
         """
         st = self._launch
-        if st is None or self._suppress:
+        if st is None:
             return
         flat = self._flat_indices(name, array, key)
         if flat is None:
@@ -265,14 +255,14 @@ class ShadowTracker:
     def record_collective(self, kind: str, value: object) -> None:
         """Fold a warp collective's result into the launch digest.
 
-        Ballot masks and shuffle/reduce results determine which lane is
+        Ballot masks and reduction results determine which lane is
         elected leader and which branch a warp takes, so two runs whose
         *memory* accesses happen to coincide but whose collectives
         differ are still nondeterministic — hashing the collective
         results makes the trace digest sensitive to that too.
         """
         st = self._launch
-        if st is None or self._suppress:
+        if st is None:
             return
         st.n_events += 1
         st.hasher.update(

@@ -28,7 +28,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.gpusim.context import FULL_MASK, GpuContext
-from repro.gpusim.warp import Warp
+from repro.gpusim.warp import Warp, popc
 from repro.graph.bucketlist import (
     EMPTY,
     SLOTS_PER_BUCKET,
@@ -232,8 +232,8 @@ def _filter_warp(
             int_mask = warp.ballot_sync(
                 FULL_MASK, (nbr_par == cur_par) & filled
             )
-            adj_ext += bin(ext_mask).count("1")
-            adj_int += bin(int_mask).count("1")
+            adj_ext += popc(ext_mask)
+            adj_int += popc(int_mask)
             bucket_cnt += 1
         if adj_ext > adj_int:
             keep.append(int(u))

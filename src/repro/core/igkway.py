@@ -322,17 +322,6 @@ class IGKway:
         """
         self._charge_cut_maintenance()
 
-    def run_trace(
-        self, trace: Sequence[Sequence[Modifier]]
-    ) -> list[IterationReport]:
-        """Apply every batch of ``trace`` in order; returns all reports.
-
-        Convenience wrapper for the common experiment loop::
-
-            reports = ig.run_trace(generate_trace(csr, TraceConfig(...)))
-        """
-        return [self.apply(batch) for batch in trace]
-
     # -- queries --------------------------------------------------------------------
 
     @property

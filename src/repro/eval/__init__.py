@@ -8,7 +8,6 @@ from repro.eval.runner import (
 from repro.eval.workloads import (
     DEFAULT_MIX,
     TraceConfig,
-    generate_growth_trace,
     generate_region_burst_trace,
     generate_trace,
     trace_summary,
@@ -21,7 +20,6 @@ __all__ = [
     "TraceConfig",
     "generate_trace",
     "generate_region_burst_trace",
-    "generate_growth_trace",
     "trace_summary",
     "DEFAULT_MIX",
 ]

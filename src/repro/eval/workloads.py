@@ -276,47 +276,6 @@ def _region_edge_delete(host, region, rng):
     return None
 
 
-def generate_growth_trace(
-    csr: CSRGraph,
-    iterations: int = 100,
-    vertices_per_iteration: int = 5,
-    edges_per_vertex: int = 2,
-    seed: int = 0,
-) -> List[ModifierBatch]:
-    """Growth-only workload: the graph monotonically expands.
-
-    Models streaming-graph settings (and the vertex-insertion stress
-    path of Algorithm 2): every iteration adds new vertices, each wired
-    to ``edges_per_vertex`` existing vertices with locality bias.  No
-    deletions, so partition weights only ever grow — the workload that
-    most stresses the pseudo-partition balancing of Algorithm 3.
-    """
-    host = HostGraph.from_csr(csr)
-    rng = make_rng(seed, "growth")
-    batches: List[ModifierBatch] = []
-    for _iteration in range(iterations):
-        batch = ModifierBatch()
-        for _ in range(vertices_per_iteration):
-            u = host.num_vertex_slots
-            modifier = VertexInsert(u, weight=1)
-            host.apply(modifier)
-            batch.append(modifier)
-            active = host.active_vertices()
-            wired = 0
-            guard = 0
-            while wired < edges_per_vertex and guard < 64:
-                guard += 1
-                v = int(active[rng.integers(0, len(active))])
-                if v == u or host.has_edge(u, v):
-                    continue
-                edge = EdgeInsert(u, v)
-                host.apply(edge)
-                batch.append(edge)
-                wired += 1
-        batches.append(batch)
-    return batches
-
-
 def trace_summary(batches: Sequence[ModifierBatch]) -> dict:
     """Aggregate kind counts over a whole trace (for reports)."""
     totals = {

@@ -4,12 +4,12 @@ This package replaces the CUDA runtime the paper builds on.  It provides
 
 * :class:`~repro.gpusim.context.GpuContext` -- the simulated device,
 * :class:`~repro.gpusim.warp.Warp` -- 32-lane warps with
-  ``ballot_sync``/``ffs``/``popc``/``any_sync``/``shfl_sync``,
-* :mod:`~repro.gpusim.atomics` -- global atomics that return old values,
+  ``ballot_sync``/``ffs``/``popc``/``any_sync``/``reduce_min_sync``,
+* :mod:`~repro.gpusim.atomics` -- ``atomicAdd``, returning the old value,
 * :mod:`~repro.gpusim.kernel` -- warp-grid launches with parallel cost
   repricing,
-* :mod:`~repro.gpusim.primitives` -- scan / segmented scan / radix sort /
-  compaction (the CUB-equivalents),
+* :mod:`~repro.gpusim.primitives` -- segmented scan / radix sort (the
+  CUB-equivalents),
 * :mod:`~repro.gpusim.cost` -- the analytic cost model that converts
   operation counts into estimated A6000 seconds.
 """

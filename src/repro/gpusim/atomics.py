@@ -41,65 +41,3 @@ def atomic_add(
         old = array[index]
         array[index] = old + value
     return old
-
-
-def atomic_sub(
-    ctx: GpuContext, array: np.ndarray, index: int, value: object
-) -> object:
-    """``atomicSub``: subtract ``value`` at ``array[index]``, return old."""
-    ctx.ledger.charge_atomics(1)
-    with _mediated(ctx):
-        old = array[index]
-        array[index] = old - value
-    return old
-
-
-def atomic_max(
-    ctx: GpuContext, array: np.ndarray, index: int, value: object
-) -> object:
-    """``atomicMax``: store max(old, value), return old."""
-    ctx.ledger.charge_atomics(1)
-    with _mediated(ctx):
-        old = array[index]
-        if value > old:
-            array[index] = value
-    return old
-
-
-def atomic_min(
-    ctx: GpuContext, array: np.ndarray, index: int, value: object
-) -> object:
-    """``atomicMin``: store min(old, value), return old."""
-    ctx.ledger.charge_atomics(1)
-    with _mediated(ctx):
-        old = array[index]
-        if value < old:
-            array[index] = value
-    return old
-
-
-def atomic_cas(
-    ctx: GpuContext,
-    array: np.ndarray,
-    index: int,
-    compare: object,
-    value: object,
-) -> object:
-    """``atomicCAS``: conditional swap, returns the old value."""
-    ctx.ledger.charge_atomics(1)
-    with _mediated(ctx):
-        old = array[index]
-        if old == compare:
-            array[index] = value
-    return old
-
-
-def atomic_exch(
-    ctx: GpuContext, array: np.ndarray, index: int, value: object
-) -> object:
-    """``atomicExch``: unconditional swap, returns the old value."""
-    ctx.ledger.charge_atomics(1)
-    with _mediated(ctx):
-        old = array[index]
-        array[index] = value
-    return old

@@ -9,8 +9,6 @@ warps on a device with 336 resident warps takes ~30 "waves").
 
 from __future__ import annotations
 
-import math
-
 from repro.gpusim.cost import CostLedger
 from repro.gpusim.device import A6000, DeviceSpec
 
@@ -97,12 +95,6 @@ class GpuContext:
     def resident_warps(self) -> int:
         """Warps the device executes concurrently (one wave)."""
         return self.device.sm_count * self.device.warps_per_sm
-
-    def waves(self, n_warps: int) -> int:
-        """Number of execution waves needed for a grid of ``n_warps``."""
-        if n_warps <= 0:
-            return 0
-        return math.ceil(n_warps / self.resident_warps)
 
     def charge_wavefront(
         self,

@@ -114,20 +114,6 @@ class CostModel:
         host = counters.host_ops / device.host_ops_per_second
         return launch + kernels + atomics + pcie + host
 
-    def breakdown(self, counters: Counters) -> Dict[str, float]:
-        """Per-component seconds, useful for reports and debugging."""
-        device = self.device
-        return {
-            "launch": counters.kernel_launches
-            * device.kernel_launch_overhead_s,
-            "kernel": counters.overlapped_kernel_seconds,
-            "atomics": counters.atomic_ops
-            / (device.atomic_throughput_gops * 1e9),
-            "pcie": (counters.h2d_bytes + counters.d2h_bytes)
-            / device.pcie_bytes_per_second,
-            "host": counters.host_ops / device.host_ops_per_second,
-        }
-
 
 @dataclass
 class _KernelScope:
@@ -250,9 +236,6 @@ class CostLedger:
     def enable_trace(self) -> None:
         """Record a :class:`KernelRecord` per kernel from now on."""
         self.trace_enabled = True
-
-    def disable_trace(self) -> None:
-        self.trace_enabled = False
 
     def top_kernels(self, limit: int = 10) -> list[tuple[str, float, int]]:
         """Aggregate traced kernels: ``(name, total_seconds, launches)``

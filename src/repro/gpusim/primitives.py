@@ -1,14 +1,13 @@
-"""Device-wide parallel primitives: scan, segmented scan, sort, compaction.
+"""Device-wide parallel primitives: segmented scan and radix sort.
 
 These are the building blocks a CUDA implementation would take from CUB or
 Thrust.  The results are computed with NumPy; the cost charged to the
 ledger models the standard GPU algorithms:
 
-* scans        -- work-efficient Blelloch scan, ~2 passes over the data,
-* segmented scan -- scan with head flags, same asymptotics,
+* segmented scan -- work-efficient Blelloch scan with head flags,
+                    ~3 passes over the data,
 * radix sort   -- 4 passes of 8-bit digits, each pass a histogram + scan
-                  + scatter,
-* compaction   -- predicate scan + scatter.
+                  + scatter.
 
 Each primitive is one kernel (or a small fixed number of kernels) from the
 launch-overhead point of view.
@@ -50,23 +49,6 @@ def charge_segmented_scan(ctx: GpuContext, n: int) -> None:
     counter.
     """
     _charge_scan(ctx, n, passes=3, name="segmented-scan")
-
-
-def inclusive_scan(ctx: GpuContext, values: np.ndarray) -> np.ndarray:
-    """Inclusive prefix sum of ``values``."""
-    values = np.asarray(values)
-    _charge_scan(ctx, values.size)
-    return np.cumsum(values)
-
-
-def exclusive_scan(ctx: GpuContext, values: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum; element 0 of the result is 0."""
-    values = np.asarray(values)
-    _charge_scan(ctx, values.size)
-    out = np.zeros_like(values)
-    if values.size > 1:
-        out[1:] = np.cumsum(values[:-1])
-    return out
 
 
 def segmented_inclusive_scan(
@@ -126,40 +108,3 @@ def sort_by_key(
     sorted_keys = keys[order]
     sorted_values = None if values is None else np.asarray(values)[order]
     return sorted_keys, sorted_values
-
-
-def compact(
-    ctx: GpuContext, values: np.ndarray, predicate: np.ndarray
-) -> np.ndarray:
-    """Stream compaction: keep ``values[i]`` where ``predicate[i]``.
-
-    Used to gather scattered affected vertices into the centralized
-    ``vertex_in_pseudo`` buffer in the vectorized path.
-    """
-    values = np.asarray(values)
-    predicate = np.asarray(predicate, dtype=bool)
-    if values.shape[0] != predicate.shape[0]:
-        raise ValueError("values and predicate must have the same length")
-    _charge_scan(ctx, values.shape[0], name="compact-scan")
-    n_warps = math.ceil(max(values.shape[0], 1) / 32)
-    with ctx.ledger.kernel("compact-scatter"):
-        ctx.charge_wavefront(
-            n_warps, instructions_per_warp=2, transactions_per_warp=2
-        )
-    return values[predicate]
-
-
-def reduce_sum(ctx: GpuContext, values: np.ndarray) -> object:
-    """Device-wide sum reduction (tree reduction cost)."""
-    values = np.asarray(values)
-    _charge_scan(ctx, values.size, passes=1)
-    return values.sum() if values.size else 0
-
-
-def reduce_max(ctx: GpuContext, values: np.ndarray) -> object:
-    """Device-wide max reduction; raises on empty input."""
-    values = np.asarray(values)
-    if values.size == 0:
-        raise ValueError("reduce_max of empty array")
-    _charge_scan(ctx, values.size, passes=1)
-    return values.max()

@@ -14,9 +14,8 @@ Semantics follow the CUDA C++ Programming Guide:
 * ``ffs(x)`` returns the 1-based position of the least-significant set
   bit of ``x``, or 0 when ``x == 0`` (so the paper's ``__ffs(b) - 1``
   yields -1 when no slot matched).
-* ``any_sync``/``all_sync`` reduce predicates across the mask.
+* ``any_sync`` reduces predicates across the mask.
 * ``popc(x)`` counts set bits.
-* ``shfl_sync(mask, value, src_lane)`` broadcasts lane ``src_lane``'s value.
 
 Sanitizer integration: ``load``/``store`` index their target array, so
 when the array is a :class:`~repro.analysis.shadow.ShadowArray` the
@@ -123,27 +122,6 @@ class Warp:
         self._note_collective("any", result)
         return result
 
-    def all_sync(self, mask: int, predicate: np.ndarray) -> bool:
-        """``__all_sync``: true iff every in-mask lane's predicate holds."""
-        self.charge()
-        pred = np.asarray(predicate, dtype=bool)
-        result = True
-        for lane in range(WARP_SIZE):
-            if (mask >> lane) & 1 and not pred[lane]:
-                result = False
-                break
-        self._note_collective("all", result)
-        return result
-
-    def shfl_sync(self, mask: int, values: np.ndarray, src_lane: int) -> object:
-        """``__shfl_sync``: broadcast lane ``src_lane``'s value to the warp."""
-        self.charge()
-        if not 0 <= src_lane < WARP_SIZE:
-            raise ValueError(f"src_lane {src_lane} out of range")
-        result = np.asarray(values)[src_lane]
-        self._note_collective("shfl", result)
-        return result
-
     def reduce_min_sync(self, mask: int, values: np.ndarray) -> object:
         """Warp-wide min reduction (``__reduce_min_sync`` on sm_80+).
 
@@ -154,13 +132,4 @@ class Warp:
         active = [lane for lane in range(WARP_SIZE) if (mask >> lane) & 1]
         result = vals[active].min()
         self._note_collective("reduce_min", result)
-        return result
-
-    def reduce_add_sync(self, mask: int, values: np.ndarray) -> object:
-        """Warp-wide sum reduction via shuffle butterfly (5 steps)."""
-        self.charge(instructions=5)
-        vals = np.asarray(values)
-        active = [lane for lane in range(WARP_SIZE) if (mask >> lane) & 1]
-        result = vals[active].sum()
-        self._note_collective("reduce_add", result)
         return result

@@ -19,12 +19,9 @@ from repro.graph.generators import (
     BenchmarkSpec,
     circuit_graph,
     community_graph,
-    forest_graph,
     make_benchmark_graph,
     mesh_graph_2d,
-    mesh_graph_3d,
     random_graph,
-    rent_circuit_graph,
     triangulated_mesh_graph,
 )
 from repro.graph.io import (
@@ -59,10 +56,7 @@ __all__ = [
     "EdgeDelete",
     "circuit_graph",
     "mesh_graph_2d",
-    "mesh_graph_3d",
     "triangulated_mesh_graph",
-    "rent_circuit_graph",
-    "forest_graph",
     "community_graph",
     "random_graph",
     "make_benchmark_graph",

@@ -518,14 +518,6 @@ class BucketListGraph:
             + self.vwgt.nbytes
         )
 
-    def fill_ratio(self) -> float:
-        """Fraction of in-use pool slots holding a neighbor (diagnostics)."""
-        used_slots = self.num_buckets_used * SLOTS_PER_BUCKET
-        if used_slots == 0:
-            return 0.0
-        filled = int((self.bucket_list[:used_slots] != EMPTY).sum())
-        return filled / used_slots
-
     # -- allocation ------------------------------------------------------------------
 
     def allocate_buckets(self, n_buckets: int) -> int:

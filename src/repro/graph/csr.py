@@ -16,7 +16,6 @@ the CPU and re-uploads it each iteration (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -92,82 +91,6 @@ class CSRGraph:
         xadj = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=xadj[1:])
         return cls(xadj=xadj, adjncy=dst, adjwgt=wgt, vwgt=vertex_weights)
-
-    @classmethod
-    def from_adjacency(
-        cls,
-        adjacency: dict,
-        num_vertices: int | None = None,
-        vertex_weights: np.ndarray | None = None,
-    ) -> "CSRGraph":
-        """Build from ``{u: {v: weight}}`` (both directions optional)."""
-        seen: dict[tuple[int, int], int] = {}
-        max_v = -1
-        for u, nbrs in adjacency.items():
-            max_v = max(max_v, u)
-            for v, w in nbrs.items():
-                max_v = max(max_v, v)
-                key = (min(u, v), max(u, v))
-                if key in seen and seen[key] != w:
-                    raise GraphConsistencyError(
-                        f"conflicting weights for edge {key}"
-                    )
-                seen[key] = w
-        n = num_vertices if num_vertices is not None else max_v + 1
-        if seen:
-            edges = np.array(sorted(seen), dtype=np.int64)
-            weights = np.array([seen[tuple(e)] for e in edges], dtype=np.int64)
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
-            weights = np.empty(0, dtype=np.int64)
-        return cls.from_edges(n, edges, weights, vertex_weights)
-
-    @classmethod
-    def from_networkx(cls, nxg: "Any") -> "CSRGraph":
-        """Build from a ``networkx.Graph``.
-
-        Node labels must be integers 0..n-1 (relabel with
-        ``networkx.convert_node_labels_to_integers`` first).  Edge
-        attribute ``weight`` and node attribute ``weight`` are honored
-        when present (default 1).
-        """
-        import numpy as np
-
-        n = nxg.number_of_nodes()
-        if sorted(nxg.nodes()) != list(range(n)):
-            raise GraphConsistencyError(
-                "node labels must be 0..n-1; use "
-                "networkx.convert_node_labels_to_integers"
-            )
-        rows = []
-        weights = []
-        for u, v, data in nxg.edges(data=True):
-            rows.append((u, v))
-            weights.append(int(data.get("weight", 1)))
-        edges = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        vwgt = np.array(
-            [int(nxg.nodes[u].get("weight", 1)) for u in range(n)],
-            dtype=np.int64,
-        )
-        return cls.from_edges(
-            n, edges, np.array(weights, dtype=np.int64), vwgt
-        )
-
-    def to_networkx(self) -> "Any":
-        """Export as a ``networkx.Graph`` with weight attributes."""
-        import networkx as nx
-
-        nxg = nx.Graph()
-        for u in range(self.num_vertices):
-            nxg.add_node(u, weight=int(self.vwgt[u]))
-        edges, weights = self.edge_array()
-        for (u, v), w in zip(edges, weights):
-            nxg.add_edge(int(u), int(v), weight=int(w))
-        return nxg
 
     # -- basic queries ---------------------------------------------------------
 

@@ -12,8 +12,8 @@ Python warp simulator can partition (DESIGN.md, substitution table):
   cells with a geometric tail of long wires.  This reproduces the strong
   locality and small balanced min-cuts of real circuits.
 * **mesh graphs** (adaptive): 2-D grid, |E|/|V| ≈ 2.
-* **forest-like graphs** (NLR, |E|/|V| ≈ 0.6 in Table I): each vertex
-  links to at most one earlier vertex with probability = ratio.
+* **triangulated meshes** (NLR): 2-D grid with one diagonal per cell,
+  |E|/|V| ≈ 3.
 * **co-authorship graphs** (coAuthorsCiteseer): community-clustered
   preferential attachment (Holme–Kim powerlaw cluster model).
 
@@ -113,68 +113,6 @@ def circuit_graph(
     return CSRGraph.from_edges(num_vertices, edges)
 
 
-def rent_circuit_graph(
-    num_vertices: int,
-    rent_exponent: float = 0.6,
-    terminals_per_cell: float = 3.0,
-    seed: int = 0,
-) -> CSRGraph:
-    """Hierarchical netlist following Rent's rule.
-
-    Rent's rule, ``T = t * g^p``, is the empirical law relating the
-    number of external terminals ``T`` of a circuit block to its gate
-    count ``g`` (exponent ``p`` ~ 0.5-0.75 for real logic).  The
-    generator recursively bipartitions the cell range and wires
-    ``~t * (g/2)^p / 2`` cross-edges between the halves, producing the
-    hierarchical cut structure real placers and partitioners see:
-    bisection cuts grow like ``n^p``, sub-linearly in n.
-
-    This is the most realistic of the circuit generators; the Table I
-    suite uses the lighter locality generator for speed, but the two
-    classify identically (`classify_structure` == "circuit-like").
-    """
-    if num_vertices < 2:
-        raise ValueError("need at least two vertices")
-    if not 0.0 < rent_exponent < 1.0:
-        raise ValueError("rent_exponent must be in (0, 1)")
-    rng = make_rng(seed, "rent")
-    rows: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def add_edge(u: int, v: int) -> None:
-        if u == v:
-            return
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            return
-        seen.add(key)
-        rows.append(key)
-
-    def wire(lo: int, hi: int) -> None:
-        size = hi - lo
-        if size <= 2:
-            if size == 2:
-                add_edge(lo, lo + 1)
-            return
-        mid = lo + size // 2
-        wire(lo, mid)
-        wire(mid, hi)
-        crossings = max(
-            1,
-            int(round(
-                terminals_per_cell * (size / 2) ** rent_exponent / 2
-            )),
-        )
-        for _ in range(crossings):
-            u = int(rng.integers(lo, mid))
-            v = int(rng.integers(mid, hi))
-            add_edge(u, v)
-
-    wire(0, num_vertices)
-    edges = np.array(sorted(rows), dtype=np.int64)
-    return CSRGraph.from_edges(num_vertices, edges)
-
-
 def mesh_graph_2d(num_vertices: int) -> CSRGraph:
     """2-D grid mesh with |E|/|V| approaching 2 (the `adaptive` class)."""
     side = max(2, int(round(math.sqrt(num_vertices))))
@@ -185,24 +123,6 @@ def mesh_graph_2d(num_vertices: int) -> CSRGraph:
     down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     edges = np.concatenate([right, down])
     return CSRGraph.from_edges(n, edges)
-
-
-def mesh_graph_3d(num_vertices: int) -> CSRGraph:
-    """3-D grid mesh, |E|/|V| approaching 3 (finite-element class)."""
-    side = max(2, int(round(num_vertices ** (1.0 / 3.0))))
-    n = side ** 3
-    idx = np.arange(n, dtype=np.int64).reshape(side, side, side)
-    pairs = []
-    pairs.append(
-        np.stack([idx[:, :, :-1].ravel(), idx[:, :, 1:].ravel()], axis=1)
-    )
-    pairs.append(
-        np.stack([idx[:, :-1, :].ravel(), idx[:, 1:, :].ravel()], axis=1)
-    )
-    pairs.append(
-        np.stack([idx[:-1, :, :].ravel(), idx[1:, :, :].ravel()], axis=1)
-    )
-    return CSRGraph.from_edges(n, np.concatenate(pairs))
 
 
 def triangulated_mesh_graph(num_vertices: int) -> CSRGraph:
@@ -220,26 +140,6 @@ def triangulated_mesh_graph(num_vertices: int) -> CSRGraph:
     down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     diag = np.stack([idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()], axis=1)
     return CSRGraph.from_edges(n, np.concatenate([right, down, diag]))
-
-
-def forest_graph(
-    num_vertices: int, edge_ratio: float = 0.6, seed: int = 0
-) -> CSRGraph:
-    """Sparse forest-like graph (|E|/|V| < 1, the Table I `NLR` row).
-
-    Each vertex ``i > 0`` attaches to one random earlier vertex with
-    probability ``edge_ratio``, producing a forest whose tree sizes are
-    power-law-ish — the structure class of sparse road/river networks.
-    """
-    if not 0.0 < edge_ratio < 1.0:
-        raise ValueError("forest edge_ratio must be in (0, 1)")
-    rng = make_rng(seed, "forest")
-    dst = np.arange(1, num_vertices, dtype=np.int64)
-    keep = rng.random(num_vertices - 1) < edge_ratio
-    dst = dst[keep]
-    src = (rng.random(dst.size) * dst).astype(np.int64)
-    edges = _dedupe_edges(np.stack([src, dst], axis=1))
-    return CSRGraph.from_edges(num_vertices, edges)
 
 
 def community_graph(

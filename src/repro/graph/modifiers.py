@@ -66,14 +66,6 @@ def _edge_key(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def coalesce_modifiers(
-    modifiers: Iterable[Modifier],
-) -> Tuple[List[Modifier], Dict[str, int]]:
-    """See :func:`coalesce_modifiers_indexed`; drops the index map."""
-    out, _indices, stats = coalesce_modifiers_indexed(modifiers)
-    return out, stats
-
-
 def coalesce_modifiers_indexed(
     modifiers: Iterable[Modifier],
 ) -> Tuple[List[Modifier], List[int], Dict[str, int]]:
@@ -268,17 +260,6 @@ class ModifierBatch:
             else:
                 out["edge_delete"] += 1
         return out
-
-    def coalesce(self) -> "ModifierBatch":
-        """Return a new batch with redundant pending work removed.
-
-        See :func:`coalesce_modifiers` for the cancellation / dedup /
-        subsumption rules.  For any batch whose raw application
-        succeeds, applying the coalesced batch yields the identical
-        graph.
-        """
-        survivors, _stats = coalesce_modifiers(self.modifiers)
-        return ModifierBatch(survivors)
 
     def validate(self) -> None:
         """Reject intra-batch inconsistencies (:func:`validate_batch`)."""

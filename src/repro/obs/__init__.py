@@ -80,14 +80,12 @@ from repro.obs.metrics import (
     default_registry,
     escape_label_value,
     merge_into,
-    reset_default_registry,
     to_prometheus_labeled,
 )
 from repro.obs.tracer import (
     TRACE_SCHEMA,
     TraceEvent,
     Tracer,
-    active_tracer,
     span,
 )
 
@@ -105,7 +103,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "Tracer",
-    "active_tracer",
     "aggregate",
     "chrome_trace",
     "dashboard_data",
@@ -123,7 +120,6 @@ __all__ = [
     "parse_prometheus",
     "parse_wire_trace",
     "render_dashboard",
-    "reset_default_registry",
     "span",
     "summarize",
     "to_prometheus_labeled",

@@ -116,12 +116,6 @@ class TraceDiff:
         """True when a phase appeared or disappeared between traces."""
         return bool(self.only_before or self.only_after)
 
-    def max_abs_device_delta(self) -> float:
-        return max(
-            (abs(d.device_cycles_delta) for d in self.deltas),
-            default=0.0,
-        )
-
 
 def event_key(event: TraceEvent) -> str:
     """Stable aggregation key for one event."""

@@ -107,18 +107,6 @@ class Histogram:
             if value <= bound:
                 self.counts[i] += 1
 
-    def quantile_bound(self, q: float) -> float:
-        """Upper bound of the bucket containing quantile ``q``."""
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        for bound, cumulative in zip(self.buckets, self.counts):
-            if cumulative >= rank:
-                return bound
-        return self.buckets[-1]
-
 
 Metric = Union[Counter, Gauge, Histogram]
 
@@ -329,11 +317,4 @@ _DEFAULT = MetricsRegistry()
 
 
 def default_registry() -> MetricsRegistry:
-    return _DEFAULT
-
-
-def reset_default_registry() -> MetricsRegistry:
-    """Swap in a fresh default registry (tests)."""
-    global _DEFAULT
-    _DEFAULT = MetricsRegistry()
     return _DEFAULT

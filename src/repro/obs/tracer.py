@@ -48,11 +48,6 @@ TRACE_SCHEMA = "repro-trace-v1"
 _ACTIVE: "Tracer | None" = None
 
 
-def active_tracer() -> "Tracer | None":
-    """The currently activated tracer (None when tracing is off)."""
-    return _ACTIVE
-
-
 @dataclass
 class TraceEvent:
     """One span or per-span kernel aggregate.
@@ -177,7 +172,6 @@ class Tracer:
         self._next_id = 0
         self._t_origin = 0.0
         self._owner_ident: Optional[int] = None
-        self._ledger_at_start: Optional[Counters] = None
 
     # -- activation ----------------------------------------------------------
 
@@ -200,7 +194,6 @@ class Tracer:
         self._t_origin = time.perf_counter()
         prev_hook = None
         if self.ledger is not None:
-            self._ledger_at_start = self.ledger.snapshot()
             prev_hook = self.ledger.obs_hook
             self.ledger.obs_hook = self._on_kernel
         _ACTIVE = self
@@ -323,12 +316,6 @@ class Tracer:
             "session": self.session,
             "has_ledger": self.ledger is not None,
         }
-
-    def ledger_delta(self) -> Optional[Counters]:
-        """Counters accumulated since activation (None without ledger)."""
-        if self.ledger is None or self._ledger_at_start is None:
-            return None
-        return self.ledger.total.diff(self._ledger_at_start)
 
 
 @contextmanager

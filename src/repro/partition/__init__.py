@@ -16,7 +16,6 @@ from repro.partition.gkway import FullPartitionResult, GKwayPartitioner
 from repro.partition.initial import initial_partition
 from repro.partition.metrics import (
     arc_matrix_bucketlist,
-    boundary_vertices_csr,
     cut_matrix,
     cut_matrix_bucketlist,
     cut_size_bucketlist,
@@ -62,7 +61,6 @@ __all__ = [
     "arc_matrix_bucketlist",
     "CutAccumulator",
     "verify_cut",
-    "boundary_vertices_csr",
     "external_internal_degrees",
     "partition_weights",
     "imbalance",

@@ -9,7 +9,7 @@ spare bucket per vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,3 @@ class PartitionConfig:
     def coarsen_until(self) -> int:
         """Coarsening target size, ``35 * k`` by default."""
         return self.coarsen_vertex_floor * self.k
-
-    def with_(self, **changes: object) -> "PartitionConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)

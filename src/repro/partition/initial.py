@@ -20,7 +20,7 @@ from collections import deque
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.partition.metrics import cut_size_csr, max_partition_weight
+from repro.partition.metrics import cut_size_csr
 from repro.utils.seeding import make_rng
 
 
@@ -125,15 +125,3 @@ def initial_partition(
             best_partition = candidate
     assert best_partition is not None
     return best_partition
-
-
-def is_feasible_initial(
-    csr: CSRGraph, partition: np.ndarray, k: int, epsilon: float
-) -> bool:
-    """Check the balance constraint for an initial partition."""
-    weights = np.bincount(
-        partition, weights=csr.vwgt, minlength=k
-    ).astype(np.int64)
-    return int(weights.max()) <= max_partition_weight(
-        csr.total_vertex_weight(), k, epsilon
-    )

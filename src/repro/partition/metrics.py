@@ -148,17 +148,6 @@ def is_balanced(
     )
 
 
-def boundary_vertices_csr(
-    csr: CSRGraph, partition: np.ndarray
-) -> np.ndarray:
-    """Vertices with at least one external neighbor (``adj_ext != 0``)."""
-    src = np.repeat(np.arange(csr.num_vertices), csr.degrees())
-    crossing = partition[src] != partition[csr.adjncy]
-    is_boundary = np.zeros(csr.num_vertices, dtype=bool)
-    is_boundary[src[crossing]] = True
-    return np.flatnonzero(is_boundary)
-
-
 def cut_matrix(
     csr: CSRGraph, partition: np.ndarray, k: int
 ) -> np.ndarray:
@@ -178,14 +167,6 @@ def cut_matrix(
     # diagonal; off-diagonal entries see one arc per direction already.
     np.fill_diagonal(matrix, np.diagonal(matrix) // 2)
     return matrix
-
-
-def boundary_sizes(
-    csr: CSRGraph, partition: np.ndarray, k: int
-) -> np.ndarray:
-    """Number of boundary vertices per partition."""
-    boundary = boundary_vertices_csr(csr, partition)
-    return np.bincount(partition[boundary], minlength=k).astype(np.int64)
 
 
 def external_internal_degrees(

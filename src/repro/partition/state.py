@@ -184,15 +184,6 @@ class PartitionState:
 
     # -- consistency ------------------------------------------------------------------
 
-    def recompute(self) -> None:
-        """Recompute cached weights from scratch (after bulk edits)."""
-        self.part_weights = partition_weights(
-            self._vwgt, self.partition, self.k
-        )
-        self.pseudo_weight = int(
-            self._vwgt[self.partition == self.pseudo_label].sum()
-        )
-
     def validate(self, active_mask: np.ndarray | None = None) -> None:
         """Check label ranges and cached-weight consistency.
 

@@ -16,7 +16,9 @@ Failure handling, in three tiers:
   exponential delay with *seeded* jitter, so two identical runs retry
   identically), asks the server to flush the session (draining is what
   actually lowers backlog in the simulated-time world), and resubmits
-  the same slice.
+  the slice.  A backpressure reject can follow a queued prefix of the
+  slice, so the loop first resyncs as for an ambiguous failure (below)
+  and resubmits only the rest.
 * **Timeouts** — every request runs under a per-call deadline; when it
   elapses the socket is poisoned (a late response would desynchronize
   the framing), so the client closes it and raises the typed
@@ -42,6 +44,7 @@ from repro.graph.modifiers import Modifier
 from repro.obs.distrib import TraceRecorder, make_trace_id, wire_trace
 from repro.serve.protocol import (
     AMBIGUOUS_CODES,
+    E_BACKPRESSURE,
     E_INTERNAL,
     RETRYABLE_CODES,
     encode_frame,
@@ -332,11 +335,15 @@ class ServeClient:
 
         Submits ``modifiers`` (in ``chunk``-sized slices when given)
         with ``max_attempts`` bounded attempts per slice and jittered
-        exponential backoff between attempts.  Three recovery paths:
+        exponential backoff between attempts.  Four recovery paths:
 
-        * pre-engine rejections (shed / quota / backpressure): flush
-          the session — the act that drains backlog in simulated
-          time — and resubmit the same slice;
+        * pre-engine rejections (shed / quota): flush the session — the
+          act that drains backlog in simulated time — and resubmit the
+          same slice;
+        * backpressure: the reject comes mid-execution, after the
+          session may already have queued and journaled a prefix of
+          the slice, so resync on ``next_seq`` (as below), then flush
+          and resubmit only the unlanded suffix;
         * ambiguous failures (timeout, lost connection, worker fault):
           reconnect, re-attach, and resync on the session's
           ``next_seq`` so only the unlanded suffix is resubmitted —
@@ -403,7 +410,9 @@ class ServeClient:
                     self._backoff(attempt)
                     if self._sock is None:
                         self.reconnect()
-                    if err.code in AMBIGUOUS_CODES:
+                    if err.code in AMBIGUOUS_CODES or err.code == E_BACKPRESSURE:
+                        # Backpressure can follow a queued, journaled
+                        # prefix of the slice: keep only the rest.
                         batch, next_seq, landed = self._resync(
                             session, batch, next_seq, trace_ctx
                         )
@@ -411,8 +420,8 @@ class ServeClient:
                             responses.append(landed)
                         if not batch:
                             break
-                    elif not isinstance(err, ServeTimeout):
-                        # Typed pre-engine reject: drain, then retry.
+                    if err.code not in AMBIGUOUS_CODES:
+                        # Typed reject: drain, then retry.
                         self.flush(session, drain=True, **traced)
             pending = rest
         return responses

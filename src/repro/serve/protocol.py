@@ -131,9 +131,11 @@ RETRYABLE_CODES = frozenset(
 #: and a worker can die mid-batch with a journaled prefix that
 #: failover replays.  Retry loops re-synchronize on the session's
 #: ``next_seq`` (reported by ``attach``) before resubmitting, so a
-#: resubmit never double-applies.  Everything else in
-#: :data:`RETRYABLE_CODES` is a typed pre-engine rejection, so a plain
-#: resubmit is safe.
+#: resubmit never double-applies.  ``backpressure`` is not ambiguous
+#: but needs the same resync: it is raised during execution, after the
+#: session may have queued and journaled a prefix of the submit.  The
+#: shed and quota codes in :data:`RETRYABLE_CODES` reject before the
+#: engine, so a plain resubmit is safe.
 AMBIGUOUS_CODES = frozenset({E_TIMEOUT, E_INTERNAL, E_WORKER_FAILED})
 
 

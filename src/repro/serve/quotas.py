@@ -226,10 +226,6 @@ class TenantAccount:
             self._window_index = index
             self._window_cycles_used = 0.0
 
-    @property
-    def window_cycles_used(self) -> float:
-        return self._window_cycles_used
-
     # -- admission -----------------------------------------------------------------
 
     def admit_session(self, live_sessions: int) -> Optional[str]:

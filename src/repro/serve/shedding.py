@@ -106,10 +106,6 @@ class LoadShedder:
     def shedding(self) -> bool:
         return self._shedding
 
-    @property
-    def capacity_fraction(self) -> float:
-        return self._capacity_fraction
-
     def set_capacity_fraction(self, fraction: float) -> None:
         """Scale the effective watermarks to the alive device fraction.
 

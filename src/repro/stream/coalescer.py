@@ -9,9 +9,9 @@ kernels wastes modeled GPU cycles *and* inflates the adaptive
 partitioner's volume triggers with modifiers that have no net effect.
 
 The rules themselves live in
-:func:`repro.graph.modifiers.coalesce_modifiers` (they are a property
-of modifier semantics, not of streaming); this module packages them for
-the stream path: a drained ingest window goes in, a *validated*
+:func:`repro.graph.modifiers.coalesce_modifiers_indexed` (they are a
+property of modifier semantics, not of streaming); this module packages
+them for the stream path: a drained ingest window goes in, a *validated*
 :class:`~repro.graph.modifiers.ModifierBatch` plus per-window stats
 come out.  Coalescing never changes the final graph — applying the raw
 window and the coalesced batch to the same graph yields identical

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.graph.modifiers import Modifier
 from repro.utils.errors import BackpressureError
@@ -77,9 +77,6 @@ class IngestQueue:
 
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity
-
-    def peek_oldest(self) -> Optional[SequencedModifier]:
-        return self._items[0] if self._items else None
 
     # -- mutation ---------------------------------------------------------------
 

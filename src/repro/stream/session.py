@@ -46,7 +46,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.modifiers import Modifier, ModifierBatch
 from repro.obs import MetricsRegistry, span
 from repro.partition.config import PartitionConfig
-from repro.stream.coalescer import Coalescer, CoalesceResult
+from repro.stream.coalescer import Coalescer
 from repro.stream.ingest import IngestQueue, SequencedModifier
 from repro.stream.journal import StreamJournal
 from repro.stream.quarantine import Quarantine

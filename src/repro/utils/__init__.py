@@ -2,7 +2,6 @@
 
 from repro.utils.errors import (
     BackpressureError,
-    BucketListFullError,
     CapacityError,
     GraphConsistencyError,
     JournalError,
@@ -28,7 +27,6 @@ from repro.utils.seeding import derive_seed, make_rng
 __all__ = [
     "ReproError",
     "GraphConsistencyError",
-    "BucketListFullError",
     "CapacityError",
     "ModifierError",
     "PartitionError",

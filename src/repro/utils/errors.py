@@ -28,15 +28,6 @@ class CapacityError(ReproError):
     """
 
 
-class BucketListFullError(CapacityError):
-    """A vertex's buckets are full and the bucket pool cannot grow.
-
-    Matches the failure mode of Algorithm 1 in the paper when the warp
-    scans every bucket of ``u`` without finding an empty slot and no spare
-    bucket can be appended.
-    """
-
-
 class ModifierError(ReproError):
     """A graph modifier could not be applied (e.g. deleting a missing edge).
 

@@ -177,20 +177,6 @@ class TestShadowArray:
         assert not isinstance(restored, ShadowArray)
         np.testing.assert_array_equal(restored, np.arange(4))
 
-    def test_suppressed_scope_hides_accesses(self):
-        ctx = GpuContext()
-        tracker = ShadowTracker()
-        with ShadowSession(ctx, tracker):
-            arr = shadow_wrap(np.zeros(2, dtype=np.int64), "x", tracker)
-
-            def body(warp, item):
-                with tracker.suppressed():
-                    arr[0] = item  # both warps, same address: hidden
-
-            launch_warps(ctx, [0, 1], body, name="quiet")
-        assert tracker.n_conflicts == 0
-        assert tracker.launches[0].n_events == 0
-
 
 class TestSession:
     def test_nested_sessions_rejected(self):

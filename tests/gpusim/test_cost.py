@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim import A6000, TINY_GPU, CostLedger, CostModel, Counters
+from repro.gpusim import A6000, CostLedger, CostModel, Counters
 
 
 class TestCounters:
@@ -52,18 +52,6 @@ class TestCostModel:
         memory_heavy = model.kernel_seconds(1, 10**9)
         both = model.kernel_seconds(10**9, 10**9)
         assert both == pytest.approx(max(compute_heavy, memory_heavy))
-
-    def test_breakdown_sums_to_seconds(self):
-        model = CostModel(TINY_GPU)
-        c = Counters(
-            kernel_launches=3,
-            atomic_ops=100,
-            h2d_bytes=10_000,
-            host_ops=500,
-            overlapped_kernel_seconds=0.25,
-        )
-        parts = model.breakdown(c)
-        assert sum(parts.values()) == pytest.approx(model.seconds(c))
 
 
 class TestCostLedger:

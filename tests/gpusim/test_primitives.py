@@ -1,4 +1,4 @@
-"""Device-wide parallel primitives: correctness and cost charging."""
+"""Device-wide parallel primitives: segmented scan and radix sort."""
 
 import numpy as np
 import pytest
@@ -6,50 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import GpuContext
-from repro.gpusim.primitives import (
-    compact,
-    exclusive_scan,
-    inclusive_scan,
-    reduce_max,
-    reduce_sum,
-    segmented_inclusive_scan,
-    sort_by_key,
-)
-
-
-class TestScans:
-    def test_inclusive_matches_cumsum(self, ctx):
-        values = np.array([3, 1, 4, 1, 5])
-        assert np.array_equal(
-            inclusive_scan(ctx, values), np.cumsum(values)
-        )
-
-    def test_exclusive_shifts(self, ctx):
-        values = np.array([3, 1, 4])
-        assert np.array_equal(
-            exclusive_scan(ctx, values), np.array([0, 3, 4])
-        )
-
-    def test_empty_input(self, ctx):
-        assert inclusive_scan(ctx, np.array([], dtype=np.int64)).size == 0
-        assert exclusive_scan(ctx, np.array([], dtype=np.int64)).size == 0
-
-    def test_single_element(self, ctx):
-        assert exclusive_scan(ctx, np.array([7]))[0] == 0
-
-    def test_charges_kernel(self, ctx):
-        inclusive_scan(ctx, np.arange(100))
-        assert ctx.ledger.total.kernel_launches == 1
-        assert ctx.ledger.total.warp_instructions > 0
-
-    @given(
-        st.lists(st.integers(min_value=-100, max_value=100), max_size=200)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_inclusive_property(self, values):
-        ctx = GpuContext()
-        arr = np.array(values, dtype=np.int64)
-        assert np.array_equal(inclusive_scan(ctx, arr), np.cumsum(arr))
+from repro.gpusim.primitives import segmented_inclusive_scan, sort_by_key
 
 
 class TestSegmentedScan:
@@ -148,32 +105,3 @@ class TestSortByKey:
         sort_by_key(ctx, np.arange(100))
         # 4 radix passes + 4 digit-histogram scans.
         assert ctx.ledger.total.kernel_launches == 8
-
-
-class TestCompactReduce:
-    def test_compact_keeps_predicate(self, ctx):
-        values = np.arange(10)
-        got = compact(ctx, values, values % 2 == 0)
-        assert np.array_equal(got, [0, 2, 4, 6, 8])
-
-    def test_compact_preserves_order(self, ctx):
-        values = np.array([5, 3, 8, 1])
-        got = compact(ctx, values, np.array([True, False, True, True]))
-        assert np.array_equal(got, [5, 8, 1])
-
-    def test_compact_length_mismatch(self, ctx):
-        with pytest.raises(ValueError):
-            compact(ctx, np.arange(3), np.ones(4, bool))
-
-    def test_reduce_sum(self, ctx):
-        assert reduce_sum(ctx, np.arange(10)) == 45
-
-    def test_reduce_sum_empty(self, ctx):
-        assert reduce_sum(ctx, np.array([], dtype=int)) == 0
-
-    def test_reduce_max(self, ctx):
-        assert reduce_max(ctx, np.array([3, 9, 1])) == 9
-
-    def test_reduce_max_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            reduce_max(ctx, np.array([], dtype=int))

@@ -68,16 +68,6 @@ class TestLedgerTrace:
     def test_format_trace_empty(self):
         assert "no kernels traced" in CostLedger().format_trace()
 
-    def test_disable_stops_recording(self):
-        ledger = CostLedger()
-        ledger.enable_trace()
-        with ledger.kernel("a"):
-            pass
-        ledger.disable_trace()
-        with ledger.kernel("b"):
-            pass
-        assert [r.name for r in ledger.kernel_trace] == ["a"]
-
     def test_reset_clears_trace(self):
         ledger = CostLedger()
         ledger.enable_trace()

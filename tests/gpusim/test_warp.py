@@ -93,29 +93,8 @@ class TestAnyAllSync:
         pred[31] = True
         assert not warp.any_sync(0x7FFFFFFF, pred)
 
-    def test_all_true(self, warp):
-        assert warp.all_sync(FULL_MASK, np.ones(32, bool))
-
-    def test_all_false_single(self, warp):
-        pred = np.ones(32, bool)
-        pred[3] = False
-        assert not warp.all_sync(FULL_MASK, pred)
-
-    def test_all_respects_mask(self, warp):
-        pred = np.ones(32, bool)
-        pred[3] = False
-        assert warp.all_sync(FULL_MASK & ~(1 << 3), pred)
-
 
 class TestShflReduce:
-    def test_shfl_broadcasts(self, warp):
-        values = np.arange(32) * 10
-        assert warp.shfl_sync(FULL_MASK, values, 5) == 50
-
-    def test_shfl_out_of_range(self, warp):
-        with pytest.raises(ValueError):
-            warp.shfl_sync(FULL_MASK, np.arange(32), 32)
-
     def test_reduce_min(self, warp):
         values = np.arange(32) + 7
         assert warp.reduce_min_sync(FULL_MASK, values) == 7
@@ -123,9 +102,6 @@ class TestShflReduce:
     def test_reduce_min_masked(self, warp):
         values = np.arange(32)
         assert warp.reduce_min_sync(0xFFFF0000, values) == 16
-
-    def test_reduce_add(self, warp):
-        assert warp.reduce_add_sync(FULL_MASK, np.ones(32)) == 32
 
 
 class TestLoadStore:

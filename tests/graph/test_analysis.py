@@ -7,7 +7,6 @@ from repro.graph import (
     CSRGraph,
     circuit_graph,
     community_graph,
-    forest_graph,
     mesh_graph_2d,
     triangulated_mesh_graph,
 )
@@ -22,6 +21,16 @@ from repro.graph.analysis import (
     largest_component_fraction,
     sampled_clustering_coefficient,
 )
+
+
+def _forest(num_vertices: int) -> CSRGraph:
+    """Binary-heap tree with every vertex whose ID is 0 or 1 mod 5 cut
+    from its parent: ~0.6 edges per vertex, in ~0.4 n components."""
+    child = np.arange(1, num_vertices)
+    child = child[child % 5 > 1]
+    return CSRGraph.from_edges(
+        num_vertices, np.stack([(child - 1) // 2, child], axis=1)
+    )
 
 
 class TestDegreeStatistics:
@@ -71,8 +80,7 @@ class TestComponents:
         assert largest_component_fraction(csr) == pytest.approx(0.75)
 
     def test_forest_has_many_components(self):
-        csr = forest_graph(500, 0.6, seed=1)
-        assert component_sizes(csr).size > 10
+        assert component_sizes(_forest(500)).size > 10
 
 
 class TestClustering:
@@ -115,7 +123,7 @@ class TestSpanAndClassify:
     @pytest.mark.parametrize(
         "builder,expected",
         [
-            (lambda: forest_graph(800, 0.6, seed=1), "forest-like"),
+            (lambda: _forest(800), "forest-like"),
             (lambda: mesh_graph_2d(900), "mesh-like"),
             (lambda: circuit_graph(900, 1.3, seed=1), "circuit-like"),
             (lambda: community_graph(900, 4, seed=1), "social-like"),

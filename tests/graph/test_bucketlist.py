@@ -272,10 +272,6 @@ class TestValidateFailures:
 
 
 class TestStats:
-    def test_fill_ratio_bounds(self, small_circuit):
-        graph = BucketListGraph.from_csr(small_circuit)
-        assert 0.0 < graph.fill_ratio() <= 1.0
-
     def test_num_edges_matches_csr(self, small_circuit):
         graph = BucketListGraph.from_csr(small_circuit)
         assert graph.num_edges() == small_circuit.num_edges

@@ -61,60 +61,6 @@ class TestFromEdges:
             )
 
 
-class TestFromAdjacency:
-    def test_roundtrip(self):
-        adjacency = {0: {1: 3}, 1: {0: 3, 2: 1}, 2: {1: 1}}
-        g = CSRGraph.from_adjacency(adjacency)
-        assert g.num_edges == 2
-        assert g.has_edge(0, 1)
-        assert g.neighbor_weights(1).sum() == 4
-
-    def test_conflicting_weights_rejected(self):
-        with pytest.raises(GraphConsistencyError):
-            CSRGraph.from_adjacency({0: {1: 3}, 1: {0: 5}})
-
-    def test_explicit_vertex_count(self):
-        g = CSRGraph.from_adjacency({0: {1: 1}}, num_vertices=10)
-        assert g.num_vertices == 10
-
-
-class TestNetworkx:
-    def test_roundtrip(self, small_circuit):
-        nxg = small_circuit.to_networkx()
-        back = CSRGraph.from_networkx(nxg)
-        assert back.num_edges == small_circuit.num_edges
-        got_e, got_w = back.edge_array()
-        exp_e, exp_w = small_circuit.edge_array()
-        assert np.array_equal(got_e, exp_e)
-        assert np.array_equal(got_w, exp_w)
-
-    def test_weights_carried(self):
-        import networkx as nx
-
-        nxg = nx.Graph()
-        nxg.add_node(0, weight=3)
-        nxg.add_node(1)
-        nxg.add_edge(0, 1, weight=7)
-        csr = CSRGraph.from_networkx(nxg)
-        assert csr.vwgt.tolist() == [3, 1]
-        assert csr.total_edge_weight() == 7
-
-    def test_bad_labels_rejected(self):
-        import networkx as nx
-
-        nxg = nx.Graph()
-        nxg.add_edge("a", "b")
-        with pytest.raises(GraphConsistencyError):
-            CSRGraph.from_networkx(nxg)
-
-    def test_empty_graph(self):
-        import networkx as nx
-
-        csr = CSRGraph.from_networkx(nx.empty_graph(5))
-        assert csr.num_vertices == 5
-        assert csr.num_edges == 0
-
-
 class TestQueries:
     def test_degrees_matches_degree(self, small_circuit):
         degrees = small_circuit.degrees()

@@ -7,10 +7,8 @@ from repro.graph import (
     BENCHMARKS,
     circuit_graph,
     community_graph,
-    forest_graph,
     make_benchmark_graph,
     mesh_graph_2d,
-    mesh_graph_3d,
     random_graph,
     triangulated_mesh_graph,
 )
@@ -63,68 +61,6 @@ class TestCircuitGraph:
         circuit_graph(400, 2.0, seed=2).validate()
 
 
-class TestRentCircuit:
-    def test_validates(self):
-        from repro.graph import rent_circuit_graph
-
-        rent_circuit_graph(512, seed=1).validate()
-
-    def test_connected(self):
-        import networkx as nx
-
-        from repro.graph import rent_circuit_graph
-
-        g = rent_circuit_graph(256, seed=2)
-        edges, _ = g.edge_array()
-        nxg = nx.Graph(edges.tolist())
-        nxg.add_nodes_from(range(256))
-        assert nx.is_connected(nxg)
-
-    def test_classifies_as_circuit(self):
-        from repro.graph import classify_structure, rent_circuit_graph
-
-        g = rent_circuit_graph(1024, seed=3)
-        assert classify_structure(g) == "circuit-like"
-
-    def test_bisection_cut_follows_rent(self):
-        """The defining property: bisection cuts grow ~ n^p, i.e.
-        strongly sub-linearly (unlike random graphs, where they grow
-        linearly in n)."""
-        from repro.graph import rent_circuit_graph
-        from repro.partition import GKwayPartitioner, PartitionConfig
-
-        cuts = {}
-        for n in (512, 2048):
-            g = rent_circuit_graph(n, rent_exponent=0.6, seed=4)
-            result = GKwayPartitioner(
-                PartitionConfig(k=2, seed=4)
-            ).partition(g)
-            cuts[n] = result.cut
-        # Quadrupling n should far less than quadruple the cut
-        # (ideal: 4^0.6 ~ 2.3; allow slack for heuristic noise).
-        assert cuts[2048] < 3.2 * cuts[512]
-
-    def test_deterministic(self):
-        from repro.graph import rent_circuit_graph
-
-        a = rent_circuit_graph(200, seed=5)
-        b = rent_circuit_graph(200, seed=5)
-        assert np.array_equal(a.adjncy, b.adjncy)
-
-    def test_invalid_exponent(self):
-        from repro.graph import rent_circuit_graph
-
-        with pytest.raises(ValueError):
-            rent_circuit_graph(100, rent_exponent=1.5)
-
-    def test_higher_exponent_more_edges(self):
-        from repro.graph import rent_circuit_graph
-
-        sparse = rent_circuit_graph(512, rent_exponent=0.45, seed=6)
-        dense = rent_circuit_graph(512, rent_exponent=0.75, seed=6)
-        assert dense.num_edges > sparse.num_edges
-
-
 class TestMeshes:
     def test_2d_ratio_near_two(self):
         g = mesh_graph_2d(2500)
@@ -135,37 +71,16 @@ class TestMeshes:
         assert g.degree(0) == 2
         assert g.degree(12) == 4  # center
 
-    def test_3d_ratio_near_three(self):
-        g = mesh_graph_3d(1000)
-        assert g.num_edges / g.num_vertices == pytest.approx(3.0, abs=0.4)
-
     def test_triangulated_ratio_near_three(self):
         g = triangulated_mesh_graph(2500)
         assert g.num_edges / g.num_vertices == pytest.approx(3.0, abs=0.2)
 
     def test_meshes_validate(self):
         mesh_graph_2d(100).validate()
-        mesh_graph_3d(64).validate()
         triangulated_mesh_graph(100).validate()
 
 
 class TestForestAndCommunity:
-    def test_forest_ratio(self):
-        g = forest_graph(5000, edge_ratio=0.6, seed=1)
-        assert g.num_edges / g.num_vertices == pytest.approx(0.6, abs=0.05)
-
-    def test_forest_is_acyclic(self):
-        import networkx as nx
-
-        g = forest_graph(500, 0.6, seed=2)
-        edges, _ = g.edge_array()
-        nxg = nx.Graph(edges.tolist())
-        assert nx.is_forest(nxg)
-
-    def test_forest_ratio_bounds(self):
-        with pytest.raises(ValueError):
-            forest_graph(100, 1.5)
-
     def test_community_validates(self):
         community_graph(300, 4, seed=3).validate()
 

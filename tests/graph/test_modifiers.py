@@ -12,6 +12,7 @@ from repro.graph import (
     VertexDelete,
     VertexInsert,
 )
+from repro.graph.modifiers import coalesce_modifiers_indexed
 from repro.utils import ModifierError
 
 
@@ -177,9 +178,8 @@ class TestCoalesce:
     """The stream coalescer's rules (cancel / dedup / subsume)."""
 
     def _coalesce(self, mods):
-        from repro.graph.modifiers import coalesce_modifiers
-
-        return coalesce_modifiers(mods)
+        out, _indices, stats = coalesce_modifiers_indexed(mods)
+        return out, stats
 
     def test_insert_delete_pair_cancels(self):
         out, stats = self._coalesce([EdgeInsert(0, 1), EdgeDelete(0, 1)])
@@ -250,12 +250,6 @@ class TestCoalesce:
         ]
         out, _stats = self._coalesce(mods)
         assert out == mods
-
-    def test_batch_coalesce_returns_new_batch(self):
-        batch = ModifierBatch([EdgeInsert(0, 1), EdgeDelete(0, 1)])
-        collapsed = batch.coalesce()
-        assert len(collapsed) == 0
-        assert len(batch) == 2
 
     def test_stats_totals_consistent(self):
         mods = [
@@ -346,7 +340,7 @@ class TestCoalescePreservesGraph:
         raw = base.copy()
         raw.apply_batch(mods)
         collapsed = base.copy()
-        batch = ModifierBatch(mods).coalesce()
+        batch = ModifierBatch(coalesce_modifiers_indexed(mods)[0])
         batch.validate()
         collapsed.apply_batch(batch)
 

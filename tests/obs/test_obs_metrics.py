@@ -9,8 +9,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
-    reset_default_registry,
 )
 
 
@@ -42,9 +40,6 @@ def test_histogram_cumulative_buckets_and_quantiles():
     # Cumulative: le=1 sees 1, le=10 sees 3, +Inf sees all 4.
     assert h.buckets == (1.0, 10.0, float("inf"))
     assert h.counts == [1, 3, 4]
-    assert h.quantile_bound(0.5) == 10.0
-    assert h.quantile_bound(1.0) == float("inf")
-    assert Histogram("empty").quantile_bound(0.9) == 0.0
 
 
 def test_histogram_always_inf_terminated():
@@ -100,15 +95,6 @@ def test_prometheus_text_format():
     assert "lat_count 1" in text
     assert text.endswith("\n")
     assert MetricsRegistry().to_prometheus() == ""
-
-
-def test_default_registry_reset():
-    reset_default_registry()
-    default_registry().counter("seen_total").inc()
-    assert default_registry().as_dict() == {"seen_total": 1}
-    fresh = reset_default_registry()
-    assert fresh is default_registry()
-    assert default_registry().as_dict() == {}
 
 
 class TestMergeInto:

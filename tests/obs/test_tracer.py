@@ -7,14 +7,19 @@ import threading
 import pytest
 
 from repro.gpusim.context import GpuContext
-from repro.obs import Tracer, active_tracer, span
+from repro.obs import Tracer, span
 
 
 def test_span_is_noop_without_tracer():
-    assert active_tracer() is None
-    with span("never-recorded"):
+    with span("before"):
         pass
-    assert active_tracer() is None
+    tracer = Tracer()
+    with tracer.activate():
+        with span("recorded"):
+            pass
+    with span("after"):
+        pass
+    assert [e.name for e in tracer.events] == ["recorded"]
 
 
 def test_span_records_host_times_and_nesting():
@@ -100,11 +105,11 @@ def test_nested_tracer_wins_and_outer_restored():
         with span("outer-only"):
             pass
         with inner.activate():
-            assert active_tracer() is inner
             with span("inner-only"):
                 pass
-        assert active_tracer() is outer
-    assert [e.name for e in outer.events] == ["outer-only"]
+        with span("outer-again"):
+            pass
+    assert [e.name for e in outer.events] == ["outer-only", "outer-again"]
     assert [e.name for e in inner.events] == ["inner-only"]
 
 
@@ -138,8 +143,9 @@ def test_exception_inside_span_still_closes_it():
         with pytest.raises(ValueError):
             with span("doomed"):
                 raise ValueError("boom")
+    with span("after"):
+        pass
     assert [e.name for e in tracer.events] == ["doomed"]
-    assert active_tracer() is None
 
 
 def test_exception_in_span_still_records_and_unwinds():
@@ -158,26 +164,11 @@ def test_exception_in_span_still_records_and_unwinds():
 
 
 def test_exception_exits_activation_cleanly():
+    tracer = Tracer()
     with pytest.raises(ValueError):
-        with Tracer().activate():
+        with tracer.activate():
             raise ValueError("boom")
     # The tracer is uninstalled again: spans are no-ops.
-    assert active_tracer() is None
     with span("untraced"):
         pass
-    assert active_tracer() is None
-
-
-def test_ledger_delta_tracks_activation_window():
-    ctx = GpuContext()
-    with ctx.ledger.section("pre"), ctx.ledger.kernel("warmup"):
-        ctx.ledger.charge_instructions(100)
-    tracer = Tracer(ledger=ctx.ledger)
-    with tracer.activate():
-        with span("work"):
-            with ctx.ledger.section("s"), ctx.ledger.kernel("k"):
-                ctx.ledger.charge_instructions(64)
-    delta = tracer.ledger_delta()
-    assert delta is not None
-    assert delta.warp_instructions == 64
-    assert Tracer().ledger_delta() is None
+    assert tracer.events == []

@@ -1,4 +1,4 @@
-"""Cut matrix, boundary sizes, and device-scaling sensitivity."""
+"""Cut matrix and device-scaling sensitivity."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.graph import CSRGraph, circuit_graph
 from repro.gpusim import A6000, GpuContext, scale_device
 from repro.partition import cut_size_csr
-from repro.partition.metrics import boundary_sizes, cut_matrix
+from repro.partition.metrics import cut_matrix
 
 
 class TestCutMatrix:
@@ -48,23 +48,6 @@ class TestCutMatrix:
         matrix = cut_matrix(csr, np.array([0, 0, 1]), 2)
         assert matrix[0, 0] == 5
         assert matrix[0, 1] == 7
-
-
-class TestBoundarySizes:
-    def test_square(self):
-        csr = CSRGraph.from_edges(
-            4, np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-        )
-        sizes = boundary_sizes(csr, np.array([0, 0, 1, 1]), 2)
-        assert sizes.tolist() == [2, 2]  # every vertex is boundary
-
-    def test_no_boundary(self, small_circuit):
-        sizes = boundary_sizes(
-            small_circuit,
-            np.zeros(small_circuit.num_vertices, dtype=np.int64),
-            2,
-        )
-        assert sizes.tolist() == [0, 0]
 
 
 class TestDeviceScaling:
@@ -112,26 +95,3 @@ class TestDeviceScaling:
                 bl_total += b.partitioning_seconds
             ratios.append(bl_total / ig_total)
         assert ratios[0] == pytest.approx(ratios[1], rel=0.05)
-
-
-class TestRunTrace:
-    def test_run_trace_equivalent_to_loop(self):
-        from repro import IGKway, PartitionConfig
-        from repro.eval.workloads import TraceConfig, generate_trace
-
-        csr = circuit_graph(300, 1.4, seed=5)
-        trace = generate_trace(
-            csr,
-            TraceConfig(iterations=4, modifiers_per_iteration=10, seed=5),
-        )
-        one = IGKway(csr, PartitionConfig(k=2, seed=5))
-        one.full_partition()
-        reports = one.run_trace(trace)
-        assert len(reports) == 4
-
-        two = IGKway(csr, PartitionConfig(k=2, seed=5))
-        two.full_partition()
-        for batch in trace:
-            two.apply(batch)
-        assert np.array_equal(one.partition, two.partition)
-        assert reports[-1].cut == two.cut_size()

@@ -157,12 +157,6 @@ class TestConfig:
     def test_coarsen_until(self):
         assert PartitionConfig(k=4).coarsen_until == 140
 
-    def test_with_override(self):
-        cfg = PartitionConfig(k=2).with_(k=8, epsilon=0.05)
-        assert cfg.k == 8
-        assert cfg.epsilon == 0.05
-        assert cfg.group_size == 6
-
 
 #: ``(cells, edge_ratio, k, seed, warp instructions, transactions,
 #: partition sha256)`` of full partitions of the circuit shapes the

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, mesh_graph_2d
-from repro.partition import cut_size_csr, initial_partition
+from repro.partition import (
+    cut_size_csr,
+    initial_partition,
+    is_balanced,
+    partition_weights,
+)
 from repro.partition.initial import (
     bfs_order,
-    is_feasible_initial,
     partition_by_order,
     random_balanced_partition,
 )
@@ -74,7 +78,10 @@ class TestRandomBalanced:
 class TestInitialPartition:
     def test_feasible(self, small_mesh):
         part = initial_partition(small_mesh, k=2, epsilon=0.03, seed=5)
-        assert is_feasible_initial(small_mesh, part, 2, 0.03)
+        weights = partition_weights(small_mesh.vwgt, part, 2)
+        assert is_balanced(
+            weights, small_mesh.total_vertex_weight(), 2, 0.03
+        )
 
     def test_beats_random(self, small_mesh):
         part = initial_partition(small_mesh, k=2, epsilon=0.03, seed=5)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.graph import BucketListGraph, CSRGraph, circuit_graph
 from repro.partition import (
-    boundary_vertices_csr,
     cut_size_bucketlist,
     cut_size_csr,
     external_internal_degrees,
@@ -97,14 +96,6 @@ class TestBalance:
 
 
 class TestBoundaryAndDegrees:
-    def test_boundary_vertices(self, tiny_csr):
-        partition = np.array([0, 0, 1, 1])
-        boundary = boundary_vertices_csr(tiny_csr, partition)
-        assert boundary.tolist() == [0, 1, 2]  # 3 is interior
-
-    def test_no_boundary_when_uncut(self, tiny_csr):
-        assert boundary_vertices_csr(tiny_csr, np.zeros(4)).size == 0
-
     def test_external_internal_degrees(self, tiny_csr):
         graph = BucketListGraph.from_csr(tiny_csr)
         partition = np.zeros(graph.capacity, dtype=np.int64)

@@ -130,11 +130,6 @@ class TestValidate:
         with pytest.raises(PartitionError):
             state.validate(active_mask=active)  # vertex 4 is UNASSIGNED
 
-    def test_recompute_fixes_caches(self, state):
-        state.partition[0] = 1  # direct edit bypassing move()
-        state.recompute()
-        state.validate()
-
     def test_copy_independent(self, state):
         clone = state.copy()
         clone.move(0, 1)

@@ -5,6 +5,7 @@ import socket
 import pytest
 
 from repro.graph.modifiers import EdgeInsert
+from repro.serve import ServerConfig, ServerThread
 from repro.serve.client import ServeClient
 from repro.utils.errors import ServeError, ServeTimeout
 
@@ -236,3 +237,31 @@ class TestSubmitWithRetry:
         with pytest.raises(ValueError, match="chunk"):
             client.submit_with_retry("s", _mods(2), chunk=0)
         client.close()
+
+
+class TestBackpressurePrefix:
+    SPEC = {
+        "generator": "circuit",
+        "args": {"num_vertices": 150, "edge_ratio": 1.3, "seed": 7},
+    }
+
+    @pytest.mark.parametrize("chunk", [6, None])
+    def test_accepted_prefix_is_not_resubmitted(self, chunk, clean_mods):
+        """A ``"reject"`` session whose queue fills partway through a
+        submit keeps and journals the modifiers before the full one,
+        then answers ``backpressure``: the retry resends only the
+        rest, so every modifier lands exactly once."""
+        with ServerThread(ServerConfig(workers=1)) as server:
+            client = _client(server.tcp_port)
+            client.create(
+                "s", self.SPEC, k=2, target_batch_size=1000,
+                queue_capacity=8,
+            )
+            before = client.attach("s")["next_seq"]
+            responses = client.submit_with_retry(
+                "s", clean_mods(self.SPEC, 20), chunk=chunk
+            )
+            after = client.attach("s")["next_seq"]
+            client.close()
+        assert sum(r["accepted"] for r in responses) == 20
+        assert after - before == 20

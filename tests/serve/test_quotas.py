@@ -62,7 +62,6 @@ class TestAdmission:
         )
         # Crossing the window boundary resets the spent budget.
         assert account.admit_submit(0, 1, worker_cycles=1500.0) is None
-        assert account.window_cycles_used == 0.0
 
     def test_no_budget_means_no_cycle_rejections(self):
         account = TenantAccount("t", TenantQuota())

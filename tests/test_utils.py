@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    BucketListFullError,
     CapacityError,
     GraphConsistencyError,
     ModifierError,
@@ -59,16 +58,12 @@ class TestErrorHierarchy:
         [
             GraphConsistencyError,
             CapacityError,
-            BucketListFullError,
             ModifierError,
             PartitionError,
         ],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
-
-    def test_bucketlist_full_is_capacity(self):
-        assert issubclass(BucketListFullError, CapacityError)
 
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):
