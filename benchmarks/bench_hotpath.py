@@ -16,7 +16,10 @@ instrumented with ``span(...)`` scopes that only collect while a tracer
 is active (here a ledger-less ``Tracer``, whose ``phase_seconds`` sums
 host time per span name), so production runs pay no overhead.  The
 full partition is the ``full-partition`` phase; ``sweep_total`` covers
-the incremental batches only.
+the incremental batches only.  After the sweep the final partitioner is
+saved to a temporary directory and loaded back (``checkpoint-save`` and
+``checkpoint-load``, also outside ``sweep_total``); the record carries
+the loaded partition's digest as ``checkpoint_sha256``.
 
 Usage::
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,6 +43,7 @@ import numpy as np
 
 from bench_common import bench_record, partition_digest, seeded_workload
 from repro.core.igkway import IGKway
+from repro.core.serialize import load_partitioner, save_partitioner
 from repro.gpusim.context import GpuContext
 from repro.obs import Tracer
 from repro.partition.config import PartitionConfig
@@ -75,8 +80,16 @@ def run_hotpath(
 
     host = dict(tracer.phase_seconds)
     host["sweep_total"] = sweep_total
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.npz"
+        t0 = time.perf_counter()
+        save_partitioner(ig, path)
+        t1 = time.perf_counter()
+        restored = load_partitioner(path)
+        host["checkpoint-load"] = time.perf_counter() - t1
+        host["checkpoint-save"] = t1 - t0
     ledger = ig.ctx.ledger.total
-    return bench_record(
+    record = bench_record(
         "hotpath",
         workload={
             "n_vertices": csr.num_vertices,
@@ -99,6 +112,8 @@ def run_hotpath(
         final_cut=ig.cut_size(),
         partition_sha256=partition_digest(ig.state.partition),
     )
+    record["checkpoint_sha256"] = partition_digest(restored.state.partition)
+    return record
 
 
 def check_mode_equivalence(
@@ -291,8 +306,10 @@ def test_hotpath_smoke():
     """Tiny sweep: phases are populated and warp == vector."""
     record = run_hotpath(n_vertices=1_200, batches=3)
     assert record["host_seconds"]["sweep_total"] > 0
-    for phase in ("full-partition", "modifiers", "balance", "cut-size"):
+    for phase in ("full-partition", "modifiers", "balance", "cut-size",
+                  "checkpoint-save", "checkpoint-load"):
         assert phase in record["host_seconds"]
+    assert record["checkpoint_sha256"] == record["partition_sha256"]
     assert "cut_maintenance" in record["device_seconds"]
     check_mode_equivalence(n_vertices=400, batches=2)
 

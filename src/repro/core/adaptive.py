@@ -222,7 +222,6 @@ class AdaptiveIGKway:
             inner.ctx.reallocate("bucket_list", new_graph.nbytes())
             inner.ctx.reallocate("partition", 8 * new_graph.capacity)
             ledger.charge_h2d(new_graph.nbytes())
-            new_graph.slot_owner_array()
             csr, id_map = new_graph.to_csr()
             result = GKwayPartitioner(
                 inner.config, ctx=inner.ctx

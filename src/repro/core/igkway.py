@@ -175,9 +175,6 @@ class IGKway:
                 "partition", 8 * self.graph.capacity
             )
             ledger.charge_h2d(self.graph.nbytes())
-            # Build the slot->owner index at upload time so the first
-            # incremental iteration doesn't pay the one-time scatter.
-            self.graph.slot_owner_array()
         seconds = ledger.model.seconds(ledger.total.diff(before))
 
         partition = np.full(self.graph.capacity, UNASSIGNED, dtype=np.int64)
@@ -187,10 +184,9 @@ class IGKway:
         self.state = PartitionState(
             partition, self.graph.vwgt, self.config.k, self.config.epsilon
         )
-        # Bootstrap the incremental cut accumulator at upload time, like
-        # the slot->owner index above: the one-time pool scan happens
-        # here, so the first incremental iteration's cut read is already
-        # an O(k^2) lookup.
+        # Bootstrap the incremental cut accumulator at upload time: the
+        # one-time pool scan happens here, so the first incremental
+        # iteration's cut read is already an O(k^2) lookup.
         self.state.cut_acc = CutAccumulator(self.graph, self.config.k)
         self.state.cut_acc.ensure(self.state.partition)
         return FullPartitionReport(

@@ -4,30 +4,43 @@ Long-running CAD sessions (the paper's motivating applications run
 "thousands or even millions of incremental iterations") need to park and
 resume partitioner state.  ``save_partitioner`` serializes everything a
 running :class:`~repro.core.igkway.IGKway` holds — the bucket-list
-graph, the partition assignment, and the configuration — into a single
-uncompressed ``.npz``; ``load_partitioner`` reconstitutes an equivalent
-partitioner (with a fresh cost ledger) that continues exactly where the
-saved one stopped.
+graph, the partition assignment, and the configuration — into one
+file; ``load_partitioner`` reconstitutes an equivalent partitioner
+(with a fresh cost ledger) that continues exactly where the saved one
+stopped.
 
-Format version 3 (the only one written) stores the bucket pool as its
-filled slots: their positions inside the used prefix, their neighbour
-IDs and their weights (:meth:`BucketListGraph.filled_slots`).  The pool
-is pre-allocated with spare buckets and tail slack (Section V.A), so
-only a few percent of its slots hold an edge; saving and loading scale
-with the live graph, not the pool.  Loading scatters the slots back
-into a fresh pool at their original positions, so ``__ffs`` slot
-choices and :func:`~repro.core.transaction.state_digest` come back
-bit-identical.  The archive is stored, not compressed: zlib was most of
-a format-2 save, and zip's per-member CRC-32 still rejects a damaged
-file.
+Format version 4 (the only one written) is one packed file, written in
+one ``write`` and read in one ``read``::
 
-Version 2 added an optional *stream metadata* JSON payload used by
-:mod:`repro.stream` to persist its journal cursor (the sequence number
-of the last applied modifier) and the adaptive-trigger state alongside
-the partitioner, so ``StreamSession.recover`` can replay exactly the
-un-checkpointed suffix of the modifier log.  Versions 1 and 2 stored
-the whole pool arrays; both still load (version 1 has no stream
-metadata).
+    magic    b"IGKWAY\x00\x04"                                 8 bytes
+    prefix   header length, header CRC-32, body CRC-32   3 x uint32 LE
+    header   JSON: format version, configuration, stream metadata,
+             graph scalars and the body layout, one
+             [name, dtype, length] entry per array
+    body     the arrays, back to back, in layout order
+
+The arrays are format 3's: the bucket pool as its filled slots (their
+positions inside the used prefix, neighbour IDs and weights, see
+:meth:`BucketListGraph.filled_slots`) plus the per-vertex arrays and
+the partition.  The pool is pre-allocated with spare buckets and tail
+slack (Section V.A), so only a few percent of its slots hold an edge;
+saving and loading scale with the live graph, not the pool.  Each
+int64 array is stored as int32 when its values fit (vertex status
+stays uint8), and loading widens it back.  Loading checks both CRCs,
+then scatters the slots into a fresh pool at their original positions,
+so ``__ffs`` slot choices and
+:func:`~repro.core.transaction.state_digest` come back bit-identical.
+
+Older versions are zip archives (``.npz``) and still load:
+:func:`load_checkpoint` tells them from format 4 by the first bytes.
+Versions 1 and 2 stored the whole pool arrays, compressed; version 2
+added the *stream metadata* JSON that :mod:`repro.stream` uses to
+persist its journal cursor (the sequence number of the last applied
+modifier) and the adaptive-trigger state, so ``StreamSession.recover``
+can replay exactly the un-checkpointed suffix of the modifier log;
+version 3 stored the filled slots in an uncompressed archive.  The
+stream journal keeps the historical file names ``checkpoint.npz`` and
+``checkpoint.prev.npz`` whatever version they hold.
 
 Derived state is *not* serialized: the incremental cut accumulator
 (:class:`~repro.partition.cutacc.CutAccumulator`) is reconstructible
@@ -39,8 +52,11 @@ format stable and the digest independent of accumulator presence.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import struct
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +67,25 @@ from repro.graph.bucketlist import SLOTS_PER_BUCKET, BucketListGraph
 from repro.partition.config import PartitionConfig
 from repro.utils.errors import PartitionError
 
-#: Bumped whenever the on-disk layout changes.  Version 3 (this
-#: release) stores only the pool's filled slots.
-FORMAT_VERSION = 3
+#: Bumped whenever the on-disk layout changes.  Version 4 (this
+#: release) packs format 3's arrays into one CRC-checked file.
+FORMAT_VERSION = 4
+
+#: First bytes of a format-4 file (a zip archive starts with ``PK``).
+_MAGIC = b"IGKWAY\x00\x04"
+
+#: Magic, header length, header CRC-32, body CRC-32.
+_PREFIX = struct.Struct("<8sIII")
+
+_INT32 = np.iinfo(np.int32)
 
 #: How each readable version stores the bucket pool: whole arrays
-#: (1, 2) or the filled slots' positions, neighbours and weights (3).
+#: (1, 2) or the filled slots' positions, neighbours and weights (3, 4).
 _POOL_KEYS = {
     1: ("bucket_list", "slot_wgt"),
     2: ("bucket_list", "slot_wgt"),
     3: ("filled_pos", "filled_nbr", "filled_wgt"),
+    4: ("filled_pos", "filled_nbr", "filled_wgt"),
 }
 
 #: Versions ``load_partitioner`` can read.
@@ -69,10 +94,11 @@ SUPPORTED_VERSIONS = tuple(_POOL_KEYS)
 #: Per-vertex arrays, each of length ``capacity`` in every version.
 _VERTEX_KEYS = ("bucket_start", "bucket_count", "vertex_status", "vwgt")
 
-#: Array keys every checkpoint must contain besides its pool keys.
+#: Fields every checkpoint must hold besides its pool arrays (the
+#: decoded ``config_json`` member of a zip archive is ``config``).
 _REQUIRED_KEYS = (
     "format_version",
-    "config_json",
+    "config",
     "capacity",
     "pool_buckets",
     "gamma",
@@ -89,7 +115,7 @@ def save_partitioner(
     path: "str | Path",
     stream_meta: dict | None = None,
 ) -> None:
-    """Serialize a partitioned :class:`IGKway` to ``path`` (.npz).
+    """Serialize a partitioned :class:`IGKway` to ``path`` (format 4).
 
     ``stream_meta`` is an optional JSON-serializable dict persisted
     verbatim; :mod:`repro.stream` stores its journal cursor there.
@@ -98,33 +124,29 @@ def save_partitioner(
     state = partitioner.state
     if graph is None or state is None:
         raise PartitionError("cannot save before full_partition()")
-    config_json = json.dumps(dataclasses.asdict(partitioner.config))
-    meta_json = json.dumps(stream_meta if stream_meta is not None else {})
     positions, neighbors, weights = graph.filled_slots()
-    np.savez(
-        Path(path),
-        format_version=np.int64(FORMAT_VERSION),
-        config_json=np.frombuffer(
-            config_json.encode(), dtype=np.uint8
-        ),
-        stream_meta_json=np.frombuffer(
-            meta_json.encode(), dtype=np.uint8
-        ),
-        capacity=np.int64(graph.capacity),
-        pool_buckets=np.int64(graph.pool_buckets),
-        gamma=np.int64(graph.gamma),
-        num_vertices=np.int64(graph.num_vertices),
-        num_buckets_used=np.int64(graph.num_buckets_used),
-        filled_pos=positions,
-        filled_nbr=neighbors,
-        filled_wgt=weights,
-        bucket_start=graph.bucket_start,
-        bucket_count=graph.bucket_count,
-        vertex_status=graph.vertex_status,
-        vwgt=graph.vwgt,
-        partition=state.partition,
-        iterations_applied=np.int64(partitioner.iterations_applied),
-    )
+    fields = {
+        "format_version": FORMAT_VERSION,
+        "config": dataclasses.asdict(partitioner.config),
+        "stream_meta": stream_meta if stream_meta is not None else {},
+        "capacity": int(graph.capacity),
+        "pool_buckets": int(graph.pool_buckets),
+        "gamma": int(graph.gamma),
+        "num_vertices": int(graph.num_vertices),
+        "num_buckets_used": int(graph.num_buckets_used),
+        "iterations_applied": int(partitioner.iterations_applied),
+    }
+    arrays = {
+        "filled_pos": positions,
+        "filled_nbr": neighbors,
+        "filled_wgt": weights,
+        "bucket_start": graph.bucket_start,
+        "bucket_count": graph.bucket_count,
+        "vertex_status": graph.vertex_status,
+        "vwgt": graph.vwgt,
+        "partition": state.partition,
+    }
+    Path(path).write_bytes(_pack(fields, arrays))
 
 
 def load_partitioner(
@@ -139,7 +161,7 @@ def load_partitioner(
 
     Raises :class:`~repro.utils.errors.PartitionError` — never a bare
     ``KeyError``, ``IndexError`` or ``zipfile`` error — on a missing
-    file, a truncated or corrupt archive, arrays of the wrong size or an
+    file, a truncated or corrupt file, arrays of the wrong size or an
     unsupported format version.
     """
     partitioner, _meta = load_checkpoint(path, ctx=ctx)
@@ -151,74 +173,19 @@ def load_checkpoint(
 ) -> "tuple[IGKway, dict]":
     """Like :func:`load_partitioner`, also returning the stream metadata.
 
-    Version-1 checkpoints (no ``stream_meta_json`` payload) yield an
-    empty dict.
+    Version-1 checkpoints (no stream metadata) yield an empty dict.
     """
     path = Path(path)
     try:
-        # np.load keeps a path's file open if the archive fails to
-        # parse; opening it here closes it on every outcome.
-        with path.open("rb") as handle, np.load(handle) as data:
-            files = set(data.files)
-            if "format_version" not in files:
-                raise PartitionError(
-                    f"{path}: not an iG-kway checkpoint "
-                    "(no format_version field)"
-                )
-            version = int(data["format_version"])
-            if version not in SUPPORTED_VERSIONS:
-                raise PartitionError(
-                    f"checkpoint format {version} unsupported "
-                    f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
-                )
-            missing = [
-                k
-                for k in (*_REQUIRED_KEYS, *_POOL_KEYS[version])
-                if k not in files
-            ]
-            if missing:
-                raise PartitionError(
-                    f"{path}: truncated checkpoint, missing fields: "
-                    f"{', '.join(missing)}"
-                )
-            config = PartitionConfig(
-                **json.loads(bytes(data["config_json"]).decode())
+        data = path.read_bytes()
+        if data.startswith(_MAGIC):
+            fields, arrays = _unpack(data)
+            fields.update(
+                (name, _widen(array)) for name, array in arrays.items()
             )
-            if version >= 2 and "stream_meta_json" in files:
-                stream_meta = json.loads(
-                    bytes(data["stream_meta_json"]).decode()
-                )
-            else:
-                stream_meta = {}
-            graph = BucketListGraph(
-                capacity=int(data["capacity"]),
-                pool_buckets=int(data["pool_buckets"]),
-                gamma=int(data["gamma"]),
-            )
-            graph.num_vertices = int(data["num_vertices"])
-            graph.num_buckets_used = int(data["num_buckets_used"])
-            if not 0 <= graph.num_vertices <= graph.capacity:
-                raise PartitionError(
-                    f"{path}: num_vertices {graph.num_vertices} outside "
-                    f"the vertex capacity {graph.capacity}"
-                )
-            if not 0 <= graph.num_buckets_used <= graph.pool_buckets:
-                raise PartitionError(
-                    f"{path}: num_buckets_used {graph.num_buckets_used} "
-                    f"outside the pool of {graph.pool_buckets} buckets"
-                )
-            for key in _VERTEX_KEYS:
-                setattr(graph, key, _read_sized(data, key, graph.capacity))
-            partition = _read_sized(data, "partition", graph.capacity)
-            if version >= 3:
-                graph.scatter_filled_slots(
-                    *(data[key] for key in _POOL_KEYS[version])
-                )
-            else:
-                pool_slots = graph.pool_buckets * SLOTS_PER_BUCKET
-                for key in _POOL_KEYS[version]:
-                    setattr(graph, key, _read_sized(data, key, pool_slots))
-            iterations = int(data["iterations_applied"])
+        else:
+            fields = _read_archive(data)
+        graph, partition, config, iterations = _restore(path, fields)
     except PartitionError:
         raise
     except FileNotFoundError as exc:
@@ -226,10 +193,10 @@ def load_checkpoint(
     except (
         KeyError,
         ValueError,
+        TypeError,
         OSError,
         EOFError,
         zipfile.BadZipFile,
-        json.JSONDecodeError,
     ) as exc:
         raise PartitionError(
             f"{path}: truncated or corrupt checkpoint ({exc})"
@@ -238,16 +205,150 @@ def load_checkpoint(
     partitioner = IGKway.from_state(
         graph, partition, config, iterations, ctx=ctx
     )
-    return partitioner, stream_meta
+    return partitioner, fields.get("stream_meta", {})
 
 
-def _read_sized(
-    data: "np.lib.npyio.NpzFile", key: str, length: int
-) -> np.ndarray:
-    """``data[key]``, which must be a one-dimensional array of
+def _pack(fields: dict, arrays: "dict[str, np.ndarray]") -> bytes:
+    """A format-4 file holding the header ``fields`` and ``arrays``."""
+    stored = [_narrow(np.ascontiguousarray(a)) for a in arrays.values()]
+    layout = [
+        [name, array.dtype.str, int(array.size)]
+        for name, array in zip(arrays, stored)
+    ]
+    header = json.dumps({**fields, "arrays": layout}).encode()
+    body_crc = 0
+    for array in stored:
+        body_crc = zlib.crc32(array, body_crc)
+    prefix = _PREFIX.pack(_MAGIC, len(header), zlib.crc32(header), body_crc)
+    return b"".join([prefix, header, *stored])
+
+
+def _unpack(data: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
+    """Inverse of :func:`_pack`: the header fields and read-only views
+    of the arrays as stored.  Raises ``ValueError`` on a short file, a
+    failed CRC-32 check or a body its layout does not describe."""
+    if len(data) < _PREFIX.size:
+        raise ValueError("file shorter than its prefix")
+    _magic, header_len, header_crc, body_crc = _PREFIX.unpack_from(data)
+    view = memoryview(data)
+    header = view[_PREFIX.size : _PREFIX.size + header_len]
+    body = view[_PREFIX.size + header_len :]
+    if len(header) != header_len or zlib.crc32(header) != header_crc:
+        raise ValueError("header fails its CRC-32 check")
+    if zlib.crc32(body) != body_crc:
+        raise ValueError("body fails its CRC-32 check")
+    fields = json.loads(bytes(header))
+    if not isinstance(fields, dict):
+        raise ValueError("header is not a JSON object")
+    arrays = {}
+    offset = 0
+    for name, dtype, length in fields.pop("arrays"):
+        dtype = np.dtype(dtype)
+        if not np.issubdtype(dtype, np.integer):
+            raise ValueError(
+                f"{name} must have an integer dtype, got {dtype}"
+            )
+        arrays[name] = np.frombuffer(
+            body, dtype=dtype, count=length, offset=offset
+        )
+        offset += dtype.itemsize * length
+    if offset != len(body):
+        raise ValueError(
+            f"body holds {len(body)} bytes, its layout {offset}"
+        )
+    return fields, arrays
+
+
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """``array`` as int32 when it is int64 and its values fit."""
+    if array.dtype == np.int64 and (
+        array.size == 0
+        or (_INT32.min <= array.min() and array.max() <= _INT32.max)
+    ):
+        return array.astype(np.int32)
+    return array
+
+
+def _widen(array: np.ndarray) -> np.ndarray:
+    """A writable copy of a stored array in its in-memory dtype: signed
+    integers are int64 in memory, vertex status stays uint8."""
+    return array.astype(np.int64 if array.dtype.kind == "i" else array.dtype)
+
+
+def _read_archive(data: bytes) -> dict:
+    """Every member of a format 1-3 ``.npz`` archive, with the
+    ``config_json`` and ``stream_meta_json`` payloads decoded."""
+    with np.load(io.BytesIO(data)) as archive:
+        fields = {key: archive[key] for key in archive.files}
+    for key in ("config_json", "stream_meta_json"):
+        if key in fields:
+            payload = bytes(fields.pop(key)).decode()
+            fields[key.removesuffix("_json")] = json.loads(payload)
+    return fields
+
+
+def _restore(
+    path: Path, fields: dict
+) -> "tuple[BucketListGraph, np.ndarray, PartitionConfig, int]":
+    """Validate a checkpoint's fields; rebuild its graph, partition,
+    configuration and iteration count."""
+    if "format_version" not in fields:
+        raise PartitionError(
+            f"{path}: not an iG-kway checkpoint (no format_version field)"
+        )
+    version = int(fields["format_version"])
+    if version not in SUPPORTED_VERSIONS:
+        raise PartitionError(
+            f"checkpoint format {version} unsupported "
+            f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
+        )
+    missing = [
+        k
+        for k in (*_REQUIRED_KEYS, *_POOL_KEYS[version])
+        if k not in fields
+    ]
+    if missing:
+        raise PartitionError(
+            f"{path}: truncated checkpoint, missing fields: "
+            f"{', '.join(missing)}"
+        )
+    config = PartitionConfig(**fields["config"])
+    graph = BucketListGraph(
+        capacity=int(fields["capacity"]),
+        pool_buckets=int(fields["pool_buckets"]),
+        gamma=int(fields["gamma"]),
+    )
+    graph.num_vertices = int(fields["num_vertices"])
+    graph.num_buckets_used = int(fields["num_buckets_used"])
+    if not 0 <= graph.num_vertices <= graph.capacity:
+        raise PartitionError(
+            f"{path}: num_vertices {graph.num_vertices} outside "
+            f"the vertex capacity {graph.capacity}"
+        )
+    if not 0 <= graph.num_buckets_used <= graph.pool_buckets:
+        raise PartitionError(
+            f"{path}: num_buckets_used {graph.num_buckets_used} "
+            f"outside the pool of {graph.pool_buckets} buckets"
+        )
+    for key in _VERTEX_KEYS:
+        setattr(graph, key, _read_sized(fields, key, graph.capacity))
+    partition = _read_sized(fields, "partition", graph.capacity)
+    if version >= 3:
+        graph.scatter_filled_slots(
+            *(fields[key] for key in _POOL_KEYS[version])
+        )
+    else:
+        pool_slots = graph.pool_buckets * SLOTS_PER_BUCKET
+        for key in _POOL_KEYS[version]:
+            setattr(graph, key, _read_sized(fields, key, pool_slots))
+    return graph, partition, config, int(fields["iterations_applied"])
+
+
+def _read_sized(fields: dict, key: str, length: int) -> np.ndarray:
+    """``fields[key]``, which must be a one-dimensional array of
     ``length`` entries (a checkpoint from a graph of another size, or a
     damaged one, must not load as a silently short array)."""
-    array = data[key]
+    array = fields[key]
     if array.shape != (length,):
         raise ValueError(
             f"{key} has shape {array.shape}, expected ({length},)"

@@ -143,11 +143,10 @@ class GraphUndoLog:
                 g.num_buckets_used = num_buckets_used
                 g.geometry_generation = generation
         self.entries.clear()
-        # Derived caches may hold geometry from the aborted batch; the
+        # The gather cache may hold geometry from the aborted batch; the
         # generation counter was rolled back, so a *future* bump could
-        # collide with a stale stamp.  Drop them — they rebuild lazily.
+        # collide with a stale stamp.  Drop it — it rebuilds lazily.
         g._gather_cache.clear()
-        g._slot_owner = None
 
 
 class BucketListGraph:
@@ -201,7 +200,6 @@ class BucketListGraph:
         # never store.
         self.geometry_generation = 0
         self._gather_cache: dict[bytes, tuple[int, np.ndarray, np.ndarray]] = {}
-        self._slot_owner: np.ndarray | None = None
         # Active undo log (one transactional batch at a time) and an
         # optional fault-injection probe called after each slot-group
         # pre-image is captured (see repro.utils.faultinject).
@@ -270,7 +268,7 @@ class BucketListGraph:
         n = self.num_vertices
         capacity = max(n, int(math.ceil(n * capacity_factor)))
         positions, neighbors, weights = self.filled_slots()
-        owner = self.slot_owner_array()[positions]
+        owner = self.slot_owners(positions)
         # Stable: a vertex's slots keep their pool (= slot) order.
         order = np.argsort(owner, kind="stable")
         degrees = np.bincount(owner, minlength=n)
@@ -350,42 +348,25 @@ class BucketListGraph:
         )
         return slot_indices, owner
 
-    def slot_owner_array(self) -> np.ndarray:
-        """Pool-wide owner map: ``slot_owner[s]`` is the vertex whose
-        bucket range contains slot ``s`` (-1 for never-assigned slots).
+    def slot_owners(self, positions: np.ndarray) -> np.ndarray:
+        """The vertex whose bucket range holds each slot in ``positions``.
 
-        Built lazily, then maintained *incrementally*: bucket allocations
-        and relocations write their new ranges into the cached array
-        instead of rebuilding it, so per-iteration consumers (cut size,
-        edge count) never pay the O(pool) rebuild twice.  Slots of
-        abandoned (relocated-away) ranges keep their stale owner — they
-        are permanently EMPTY, so consumers must mask with
-        ``bucket_list != EMPTY``.  Treat as read-only.
+        Every position must lie inside some vertex's current range, as
+        every filled slot does (a relocation blanks the range it
+        leaves).  Ranges are disjoint and only ever handed out from the
+        pool tail, so a slot's owner is the vertex with the greatest
+        range start at or below it: one ``searchsorted`` over the
+        vertices' starts, sized by the vertex count, not the pool.
         """
-        if self._slot_owner is None:
-            owner = np.full(
-                self.pool_buckets * SLOTS_PER_BUCKET, -1, dtype=np.int64
-            )
-            n = self.num_vertices
-            if n:
-                counts = self.bucket_count[:n] * SLOTS_PER_BUCKET
-                base = self.bucket_start[:n] * SLOTS_PER_BUCKET
-                positions = np.repeat(base, counts) + _ramp(counts)
-                owner[positions] = np.repeat(
-                    np.arange(n, dtype=np.int64), counts
-                )
-            self._slot_owner = owner
-        return self._slot_owner
+        owners = np.flatnonzero(self.bucket_count[: self.num_vertices] > 0)
+        starts = self.bucket_start[owners] * SLOTS_PER_BUCKET
+        order = np.argsort(starts, kind="stable")
+        index = np.searchsorted(starts[order], positions, side="right") - 1
+        return owners[order[index]]
 
     def _touch_geometry(self) -> None:
         """Invalidate gather caches after a bucket-geometry change."""
         self.geometry_generation += 1
-
-    def _note_bucket_assignment(self, u: int) -> None:
-        """Record ``u``'s (new) bucket range in the owner cache."""
-        if self._slot_owner is not None:
-            start, n_slots = self.slot_range(u)
-            self._slot_owner[start : start + n_slots] = u
 
     # -- transactional undo ------------------------------------------------------
 
@@ -556,7 +537,6 @@ class BucketListGraph:
         self._undo_vertex_meta(u)
         self.bucket_start[u] = bucket
         self.bucket_count[u] = n_buckets
-        self._note_bucket_assignment(u)
 
     def new_vertex_id(self) -> int:
         """Reserve the next vertex ID from the capacity region."""
@@ -603,7 +583,6 @@ class BucketListGraph:
         self.slot_wgt[old_start : old_start + old_slots] = 0
         self.bucket_start[u] = new_bucket
         self.bucket_count[u] = new_count
-        self._note_bucket_assignment(u)
         return old_slots
 
     # -- checkpoint encoding ------------------------------------------------------------
@@ -697,7 +676,7 @@ class BucketListGraph:
         remap = np.full(self.num_vertices, -1, dtype=np.int64)
         remap[id_map] = np.arange(id_map.size, dtype=np.int64)
         positions, neighbors, weights = self.filled_slots()
-        owner = self.slot_owner_array()[positions]
+        owner = self.slot_owners(positions)
         lower = owner < neighbors
         edges = np.stack(
             [remap[owner[lower]], remap[neighbors[lower]]], axis=1

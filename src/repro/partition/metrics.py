@@ -25,11 +25,7 @@ import math
 
 import numpy as np
 
-from repro.graph.bucketlist import (
-    EMPTY,
-    SLOTS_PER_BUCKET,
-    BucketListGraph,
-)
+from repro.graph.bucketlist import EMPTY, BucketListGraph
 from repro.graph.csr import CSRGraph
 
 
@@ -50,19 +46,14 @@ def cut_size_bucketlist(
 ) -> int:
     """Weighted cut of the active subgraph of a bucket-list graph.
 
-    Scans the used slot pool contiguously against the cached
-    ``slot_owner_array`` instead of re-gathering per-vertex slot ranges:
-    deleted vertices have blanked slots and no inbound references, so
-    masking EMPTY slots yields exactly the active subgraph's arcs.
+    Scans the filled slots of the used pool, each attributed to its
+    owner by :meth:`BucketListGraph.slot_owners`, instead of
+    re-gathering per-vertex slot ranges: deleted vertices have blanked
+    slots and no inbound references, so the filled slots are exactly
+    the active subgraph's arcs.
     """
-    used_slots = graph.num_buckets_used * SLOTS_PER_BUCKET
-    if used_slots == 0:
-        return 0
-    dst = graph.bucket_list[:used_slots]
-    filled = dst != EMPTY
-    src = graph.slot_owner_array()[:used_slots][filled]
-    dst = dst[filled]
-    weights = graph.slot_wgt[:used_slots][filled]
+    positions, dst, weights = graph.filled_slots()
+    src = graph.slot_owners(positions)
     crossing = partition[src] != partition[dst]
     return int(weights[crossing].sum()) // 2
 
@@ -88,14 +79,8 @@ def arc_matrix_bucketlist(
     """
     ext_n = k + 2
     flat = np.zeros(ext_n * ext_n, dtype=np.int64)
-    used_slots = graph.num_buckets_used * SLOTS_PER_BUCKET
-    if used_slots == 0:
-        return flat.reshape(ext_n, ext_n)
-    dst = graph.bucket_list[:used_slots]
-    filled = dst != EMPTY
-    src = graph.slot_owner_array()[:used_slots][filled]
-    dst = dst[filled]
-    weights = graph.slot_wgt[:used_slots][filled]
+    positions, dst, weights = graph.filled_slots()
+    src = graph.slot_owners(positions)
     src_ext = np.where(partition[src] < 0, np.int64(k + 1), partition[src])
     dst_ext = np.where(partition[dst] < 0, np.int64(k + 1), partition[dst])
     # int64 scatter-add, not np.bincount(weights=...): bincount promotes

@@ -727,6 +727,34 @@ class PartitionServer:
                 start_offset=offset,
             )
 
+    def _traced_on_loop(self, fn):
+        """Run ``fn()`` with an engine tracer active and fold its spans
+        under the in-flight request's op span (plain ``fn()`` when the
+        request is not traced).
+
+        For registry work that runs synchronously on the loop thread,
+        outside :meth:`_run_on_worker`: session construction, re-attach
+        and eviction.  Its cycles settle through :meth:`_charge`, so
+        the tracer carries no ledger.
+        """
+        recorder = self.recorder
+        tctx = _REQ_TRACE.get()
+        if recorder is None or tctx is None:
+            return fn()
+        tracer = Tracer(session=tctx.trace_id)
+        offset = recorder.now()
+        try:
+            with tracer.activate():
+                return fn()
+        finally:
+            recorder.fold(
+                tracer.events,
+                trace=tctx.context(),
+                parent=tctx.span_id,
+                base_depth=tctx.depth + 1,
+                start_offset=offset,
+            )
+
     # -- op helpers ----------------------------------------------------------------
 
     @staticmethod
@@ -740,11 +768,15 @@ class PartitionServer:
         return value
 
     def _entry_for(self, request: dict) -> SessionEntry:
-        """Resolve (tenant, session), transparently re-attaching."""
+        """Resolve (tenant, session), transparently re-attaching; the
+        journal recovery of a re-attach is traced under the request."""
         tenant = self._require_str(request, "tenant")
         name = self._require_str(request, "session")
         self.tenant(tenant)  # registers or rejects
-        return self.registry.attach(tenant, name)
+        # A revive records its own span: StreamSession.recover's.
+        return self._traced_on_loop(
+            lambda: self.registry.attach(tenant, name)
+        )
 
     async def _run_on_worker(
         self, entry: SessionEntry, account: TenantAccount, fn
@@ -852,41 +884,24 @@ class PartitionServer:
         tctx = _REQ_TRACE.get()
 
         def construct():
-            return self.registry.create(
-                tenant_name,
-                session_name,
-                graph_spec,
-                k=k,
-                seed=int(request.get("seed", 0)),
-                target_batch_size=target,
-                queue_capacity=int(request.get("queue_capacity", 4096)),
-                policy=str(request.get("policy", "reject")),
-                origin_trace=(
-                    tctx.trace_id if tctx is not None else None
-                ),
-            )
-
-        recorder = self.recorder
-        if recorder is not None and tctx is not None:
-            # Construction runs before the session has a worker, so it
-            # is traced here (synchronously, on the loop thread) rather
-            # than in _run_on_worker; its cycles settle via _settle.
-            tracer = Tracer(session=tctx.trace_id)
-            offset = recorder.now()
-            try:
-                with tracer.activate():
-                    with span("serve.registry.create"):
-                        entry = construct()
-            finally:
-                recorder.fold(
-                    tracer.events,
-                    trace=tctx.context(),
-                    parent=tctx.span_id,
-                    base_depth=tctx.depth + 1,
-                    start_offset=offset,
+            with span("serve.registry.create"):
+                return self.registry.create(
+                    tenant_name,
+                    session_name,
+                    graph_spec,
+                    k=k,
+                    seed=int(request.get("seed", 0)),
+                    target_batch_size=target,
+                    queue_capacity=int(request.get("queue_capacity", 4096)),
+                    policy=str(request.get("policy", "reject")),
+                    origin_trace=(
+                        tctx.trace_id if tctx is not None else None
+                    ),
                 )
-        else:
-            entry = construct()
+
+        # Construction runs before the session has a worker, so it is
+        # traced on the loop thread; its cycles settle via _settle.
+        entry = self._traced_on_loop(construct)
         await self._settle(entry, account)
         return ok_response(
             cut=entry.session.cut_size(),
@@ -1019,7 +1034,10 @@ class PartitionServer:
         was_live = entry.live
         async with entry.worker.lock:
             self._charge(entry, account)
-            self.registry.evict(tenant_name, name)
+            # The evict's checkpoint is traced as stream.checkpoint.
+            self._traced_on_loop(
+                lambda: self.registry.evict(tenant_name, name)
+            )
         if was_live:
             self._evictions.inc()
         return ok_response(evicted=was_live)

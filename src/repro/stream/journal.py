@@ -1,9 +1,12 @@
 """Checkpointed recovery journal for the streaming service.
 
 Layered on :mod:`repro.core.serialize`: the partitioner state goes into
-a periodic ``checkpoint.npz`` (format version 3, which carries the
+a periodic ``checkpoint.npz`` (format version 4, which carries the
 stream cursor as metadata) while every ingested modifier and every
 applied flush window is appended to ``journal.log`` as one JSON line.
+The checkpoint names are historical: a format-4 file is not a zip
+archive, but keeping the names keeps existing journal directories,
+whose checkpoints may be of formats 1-3, loadable.
 
 Crash model: the process can die at any point.  Recovery then
 
@@ -26,7 +29,14 @@ discarded on the *next* recovery.  Checkpointing compacts the log,
 dropping records at or below the new cursor so the journal stays
 proportional to the un-checkpointed window, not the stream's lifetime;
 the kept lines are copied verbatim, and the reopen after compaction
-skips the trim (compaction leaves only complete lines).
+skips the trim (compaction leaves only complete lines).  Compaction
+does not parse the lines the writer formats: one compiled full-line
+pattern (``_WRITER_LINE``) recognises ``"m"`` and ``"f"`` lines and
+reads their sequence number, and it accepts nothing ``json.loads``
+would reject.  Any other line — a dead letter, a record with a non-int
+field, one written by hand — is parsed, so blank lines, the torn tail
+and dead letters are treated exactly as :meth:`StreamJournal.load`
+treats them.
 
 Write cost: :meth:`StreamJournal.log_modifiers` takes every modifier a
 submit accepted between two flush triggers and appends their ``"m"``
@@ -34,7 +44,7 @@ records in one ``write`` + ``flush``, each line formatted directly
 (:func:`modifier_line`) but byte-identical to the ``json.dumps`` of the
 record that flush and dead-letter records still use.
 
-Checkpoint durability: the npz is written to a temp file, fsynced,
+Checkpoint durability: the checkpoint is written to a temp file, fsynced,
 rotated over the previous checkpoint (kept as ``checkpoint.prev.npz``),
 and the directory entry is fsynced.  If the newest checkpoint is
 corrupt (e.g. a torn write the rename race let through, or media
@@ -54,6 +64,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
@@ -73,9 +84,27 @@ from repro.utils.errors import JournalError
 #: Bumped whenever the journal line format changes.
 JOURNAL_FORMAT = 1
 
+#: Historical names: the files hold format-4 checkpoints, which are
+#: not zip archives, but existing journal directories keep working.
 CHECKPOINT_NAME = "checkpoint.npz"
 PREV_CHECKPOINT_NAME = "checkpoint.prev.npz"
 LOG_NAME = "journal.log"
+
+#: A JSON integer: ``json.loads`` rejects leading zeros and a plus sign
+#: (and ``\d`` would also match non-ASCII digits).
+_INT = r"-?(?:0|[1-9][0-9]*)"
+
+#: The ``"m"`` and ``"f"`` lines as :func:`modifier_line` and
+#: :meth:`StreamJournal.log_flush` format them, in full: group 1 is an
+#: ``"m"`` line's ``s``, group 2 an ``"f"`` line's ``b``.  Every line it
+#: matches is a JSON object ``json.loads`` reads with that value, so
+#: compaction classifies it without parsing.
+_WRITER_LINE = re.compile(
+    rf'\{{"r":"(?:m","s":({_INT}),"t":"(?:e[di]","u":{_INT},"v":{_INT}'
+    rf'|v[di]","u":{_INT})(?:,"w":{_INT})?'
+    rf'|f","a":{_INT},"b":({_INT}),"w":"[ !#-\[\]-~]*"'
+    rf'(?:,"x":\[(?:{_INT}(?:,{_INT})*)?\])?)\}}'
+)
 
 
 def encode_modifier(modifier: Modifier) -> dict:
@@ -178,6 +207,18 @@ def trim_torn_tail(path: "str | Path") -> int:
         with path.open("rb+") as handle:
             handle.truncate(keep)
     return removed
+
+
+def _parse_record(line: str) -> Optional[dict]:
+    """The record on a stripped, non-blank log line; ``None`` where a
+    torn tail begins (not JSON, or no ``"r"`` field)."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if "r" not in record:
+        return None
+    return record
 
 
 @dataclass
@@ -358,6 +399,11 @@ class StreamJournal:
     def _compact(self, applied_seq: int) -> None:
         """Drop journal records fully covered by both checkpoints.
 
+        Each line is classified as :meth:`_read_records` would parse
+        it: an ``"m"`` or ``"f"`` line in the writer's own format by
+        :data:`_WRITER_LINE`, any other line by ``json.loads``.  Blank
+        lines are skipped, and the first line that does not parse to a
+        record is the torn tail, dropped with everything after it.
         Dead-letter records are kept unconditionally — they are the
         stream's permanent rejection ledger.
         """
@@ -366,15 +412,27 @@ class StreamJournal:
         if self._log is not None:
             self._log.close()
             self._log = None
-        # Every line was written as _dumps(record), so copying it
-        # verbatim equals re-encoding its parsed record.
+        # Every line was written as one record, so copying it verbatim
+        # equals re-encoding its parsed record.
         keep: List[str] = []
-        for line, record in self._read_records():
-            if record["r"] == "m" and record["s"] <= applied_seq:
-                continue
-            if record["r"] == "f" and record["b"] <= applied_seq:
-                continue
-            keep.append(line + "\n")
+        with self.log_path.open("r", encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                match = _WRITER_LINE.fullmatch(line)
+                if match is not None:
+                    if int(match.group(1) or match.group(2)) <= applied_seq:
+                        continue
+                else:
+                    record = _parse_record(line)
+                    if record is None:
+                        break  # torn write: trust nothing at or after it
+                    if record["r"] == "m" and record["s"] <= applied_seq:
+                        continue
+                    if record["r"] == "f" and record["b"] <= applied_seq:
+                        continue
+                keep.append(line + "\n")
         tmp = self.directory / (LOG_NAME + ".tmp")
         tmp.write_text("".join(keep), encoding="utf-8")
         os.replace(tmp, self.log_path)
@@ -394,12 +452,9 @@ class StreamJournal:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
+                record = _parse_record(line)
+                if record is None:
                     break  # torn write: trust nothing at or after it
-                if "r" not in record:
-                    break
                 pairs.append((line, record))
         return pairs
 
@@ -417,7 +472,7 @@ class StreamJournal:
                 continue
             try:
                 partitioner, meta = load_checkpoint(path, ctx=ctx)
-            except Exception as err:  # corrupt npz: try the previous
+            except Exception as err:  # corrupt: try the previous
                 failures.append(f"{path.name}: {err}")
                 continue
             if is_current:

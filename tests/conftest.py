@@ -73,12 +73,13 @@ def random_csr(
 @pytest.fixture(scope="session")
 def save_legacy_checkpoint():
     """``save(partitioner, path, version, stream_meta=None)``: write a
-    format-1 or format-2 checkpoint exactly as the writer before format
-    3 did — the whole pool arrays in a zlib-compressed ``.npz``, and
-    for version 1 no stream metadata payload."""
+    format-1, -2 or -3 checkpoint exactly as the writer of that version
+    did.  Formats 1 and 2 hold the whole pool arrays in a zlib-compressed
+    ``.npz`` (format 1 without the stream metadata payload); format 3
+    holds the filled slots in a stored one."""
 
     def save(partitioner, path, version, stream_meta=None):
-        assert version in (1, 2)
+        assert version in (1, 2, 3)
         graph, state = partitioner.graph, partitioner.state
         config_json = json.dumps(dataclasses.asdict(partitioner.config))
         arrays = dict(
@@ -89,8 +90,6 @@ def save_legacy_checkpoint():
             gamma=np.int64(graph.gamma),
             num_vertices=np.int64(graph.num_vertices),
             num_buckets_used=np.int64(graph.num_buckets_used),
-            bucket_list=graph.bucket_list,
-            slot_wgt=graph.slot_wgt,
             bucket_start=graph.bucket_start,
             bucket_count=graph.bucket_count,
             vertex_status=graph.vertex_status,
@@ -98,11 +97,19 @@ def save_legacy_checkpoint():
             partition=state.partition,
             iterations_applied=np.int64(partitioner.iterations_applied),
         )
-        if version == 2:
+        if version >= 2:
             meta_json = json.dumps(stream_meta or {})
             arrays["stream_meta_json"] = np.frombuffer(
                 meta_json.encode(), dtype=np.uint8
             )
-        np.savez_compressed(path, **arrays)
+        if version == 3:
+            positions, neighbors, weights = graph.filled_slots()
+            arrays.update(
+                filled_pos=positions, filled_nbr=neighbors, filled_wgt=weights
+            )
+            np.savez(path, **arrays)
+        else:
+            arrays.update(bucket_list=graph.bucket_list, slot_wgt=graph.slot_wgt)
+            np.savez_compressed(path, **arrays)
 
     return save

@@ -1,7 +1,9 @@
 """Checkpoint save/restore and partition export."""
 
+import json
 import tempfile
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,11 @@ from hypothesis import strategies as st
 
 from repro import IGKway, PartitionConfig
 from repro.core.serialize import (
+    _MAGIC,
+    _PREFIX,
     FORMAT_VERSION,
+    _pack,
+    _unpack,
     export_partition_csv,
     load_checkpoint,
     load_partitioner,
@@ -55,12 +61,27 @@ def _digests(partitioner):
 
 
 def _rewrite(path, change):
-    """Rewrite the checkpoint at ``path``, replacing the arrays that
-    ``change(arrays)`` returns."""
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays.update(change(arrays))
-    np.savez(path, **arrays)
+    """Rewrite the checkpoint at ``path``, replacing the fields that
+    ``change(fields)`` returns.
+
+    A format-4 file is packed again with fresh CRCs (its header fields
+    and arrays form one ``fields`` dict), so the loader's structural
+    checks, not its CRC checks, meet the change; a zip archive is saved
+    again as one.
+    """
+    blob = path.read_bytes()
+    if not blob.startswith(_MAGIC):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays.update(change(arrays))
+        np.savez(path, **arrays)
+        return
+    header, arrays = _unpack(blob)
+    fields = {**header, **arrays}
+    fields.update(change(fields))
+    arrays = {k: v for k, v in fields.items() if isinstance(v, np.ndarray)}
+    header = {k: v for k, v in fields.items() if k not in arrays}
+    path.write_bytes(_pack(header, arrays))
 
 
 class TestSaveLoad:
@@ -140,15 +161,10 @@ class TestSaveLoad:
             save_partitioner(ig, tmp_path / "x.npz")
 
     def test_bad_version_rejected(self, warm_partitioner, tmp_path):
-        import numpy as np
-
         path = tmp_path / "checkpoint.npz"
         save_partitioner(warm_partitioner, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["format_version"] = np.int64(999)
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(PartitionError):
+        _rewrite(path, lambda fields: {"format_version": 999})
+        with pytest.raises(PartitionError, match="format 999 unsupported"):
             load_partitioner(path)
 
 
@@ -176,16 +192,36 @@ class TestFormatV2:
     """Stream metadata (added in format 2), legacy files and robust
     failure modes."""
 
-    def test_format_version_is_3(self, warm_partitioner, tmp_path):
+    def test_format_version_is_4(self, warm_partitioner, tmp_path):
         path = tmp_path / "checkpoint.npz"
         save_partitioner(warm_partitioner, path)
-        with np.load(path) as data:
-            assert int(data["format_version"]) == FORMAT_VERSION == 3
-            assert "stream_meta_json" in data.files
-        with zipfile.ZipFile(path) as archive:
-            assert {i.compress_type for i in archive.infolist()} == {
-                zipfile.ZIP_STORED
-            }
+        blob = path.read_bytes()
+        assert blob.startswith(_MAGIC)
+        assert not zipfile.is_zipfile(path)
+        header, arrays = _unpack(blob)
+        assert header["format_version"] == FORMAT_VERSION == 4
+        assert header["stream_meta"] == {}
+        # Every array of a small graph fits the narrow dtypes.
+        assert {a.dtype.str for a in arrays.values()} == {"<i4", "|u1"}
+        assert arrays["vertex_status"].dtype == np.uint8
+
+    def test_wide_values_stay_int64(self, warm_partitioner, tmp_path):
+        graph = warm_partitioner.graph
+        u = int(graph.active_vertices()[0])
+        graph.vwgt[u] = 2**40
+        start, _n_slots = graph.slot_range(u)
+        graph.slot_wgt[start] = -(2**35)  # a filled slot's weight
+        assert graph.bucket_list[start] != EMPTY
+        path = tmp_path / "checkpoint.npz"
+        save_partitioner(warm_partitioner, path)
+        _header, arrays = _unpack(path.read_bytes())
+        assert arrays["vwgt"].dtype.str == "<i8"
+        assert arrays["filled_wgt"].dtype.str == "<i8"
+        assert arrays["filled_pos"].dtype.str == "<i4"
+        restored = load_partitioner(path)
+        assert restored.graph.vwgt.dtype == np.int64
+        assert np.array_equal(restored.graph.vwgt, graph.vwgt)
+        assert np.array_equal(restored.graph.slot_wgt, graph.slot_wgt)
 
     def test_stream_meta_roundtrip(self, warm_partitioner, tmp_path):
         path = tmp_path / "checkpoint.npz"
@@ -229,6 +265,21 @@ class TestFormatV2:
             restored.graph.bucket_list, warm_partitioner.graph.bucket_list
         )
 
+    def test_v3_file_still_loads(
+        self, warm_partitioner, tmp_path, save_legacy_checkpoint
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_legacy_checkpoint(
+            warm_partitioner, path, 3, stream_meta={"applied_seq": 9}
+        )
+        assert zipfile.is_zipfile(path)
+        restored, meta = load_checkpoint(path)
+        assert meta == {"applied_seq": 9}
+        assert _digests(restored) == _digests(warm_partitioner)
+        assert np.array_equal(
+            restored.graph.bucket_list, warm_partitioner.graph.bucket_list
+        )
+
     def test_missing_file_raises_partition_error(self, tmp_path):
         with pytest.raises(PartitionError, match="not found"):
             load_partitioner(tmp_path / "nope.npz")
@@ -254,13 +305,55 @@ class TestFormatV2:
     ):
         path = tmp_path / "checkpoint.npz"
         save_partitioner(warm_partitioner, path)
-        with np.load(path) as data:
-            arrays = {
-                k: data[k] for k in data.files if k != "partition"
-            }
-        np.savez_compressed(path, **arrays)
+        header, arrays = _unpack(path.read_bytes())
+        del arrays["partition"]
+        path.write_bytes(_pack(header, arrays))
         with pytest.raises(PartitionError, match="missing fields"):
             load_partitioner(path)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("format_version", "not an iG-kway checkpoint"),
+            ("config", "missing fields: config"),
+            ("capacity", "missing fields: capacity"),
+            ("filled_wgt", "missing fields: filled_wgt"),
+        ],
+    )
+    def test_missing_field_is_named(
+        self, warm_partitioner, tmp_path, field, message
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_partitioner(warm_partitioner, path)
+        header, arrays = _unpack(path.read_bytes())
+        (arrays if field in arrays else header).pop(field)
+        path.write_bytes(_pack(header, arrays))
+        with pytest.raises(PartitionError, match=message):
+            load_partitioner(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"[1, 2]", b'"text"', b'{"format_version": 4, "arrays": 7}'],
+    )
+    def test_malformed_header_raises_partition_error(self, tmp_path, header):
+        """A header with valid CRCs that is not a JSON object, or whose
+        layout is not a list of entries, is a corrupt file."""
+        path = tmp_path / "checkpoint.npz"
+        path.write_bytes(
+            _PREFIX.pack(_MAGIC, len(header), zlib.crc32(header), 0) + header
+        )
+        with pytest.raises(PartitionError, match="corrupt"):
+            load_partitioner(path)
+
+    def test_truncated_header_raises_partition_error(
+        self, warm_partitioner, tmp_path
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_partitioner(warm_partitioner, path)
+        for size in (4, 20, 40):
+            path.write_bytes(path.read_bytes()[:size])
+            with pytest.raises(PartitionError, match="corrupt"):
+                load_partitioner(path)
 
     def test_not_a_checkpoint_raises_partition_error(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -344,7 +437,8 @@ _MALFORMED_LEGACY["short-pool-array"] = (
 
 
 class TestFormatV3:
-    """Format 3 stores the pool as its filled slots only."""
+    """The pool stored as its filled slots only: format 3 introduced
+    the encoding, and format 4 packs the same arrays."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -400,30 +494,41 @@ class TestFormatV3:
         assert state_digest(graph, live.state) == before
 
         with tempfile.TemporaryDirectory() as tmp:
-            save_partitioner(live, Path(tmp) / "v3.npz")
-            save_legacy_checkpoint(live, Path(tmp) / "v2.npz", 2)
-            v3 = load_partitioner(Path(tmp) / "v3.npz")
-            v2 = load_partitioner(Path(tmp) / "v2.npz")
-        assert _digests(v3) == _digests(live) == _digests(v2)
-        for name in ("bucket_list", "slot_wgt", "bucket_start",
-                     "bucket_count", "vertex_status", "vwgt"):
-            assert np.array_equal(
-                getattr(v3.graph, name), getattr(graph, name)
-            ), name
+            save_partitioner(live, Path(tmp) / "v4.npz")
+            v4 = load_partitioner(Path(tmp) / "v4.npz")
+            legacy = {}
+            for version in (1, 2, 3):
+                path = Path(tmp) / f"v{version}.npz"
+                save_legacy_checkpoint(live, path, version)
+                legacy[version] = load_partitioner(path)
+        v2 = legacy[2]
+        for restored in (v4, *legacy.values()):
+            assert _digests(restored) == _digests(live)
+            for name in ("bucket_list", "slot_wgt", "bucket_start",
+                         "bucket_count", "vertex_status", "vwgt",
+                         "partition"):
+                owner = restored if name == "partition" else restored.graph
+                expected = live if name == "partition" else graph
+                assert np.array_equal(
+                    getattr(owner, name), getattr(expected, name)
+                ), name
+                assert getattr(owner, name).dtype == getattr(
+                    expected, name
+                ).dtype, name
 
         nbr = int(graph.neighbors(hub)[0])
         batch = ModifierBatch(
             [EdgeDelete(hub, nbr), VertexInsert(graph.num_vertices)]
             + [EdgeInsert(gone, v) for v in _non_neighbors(graph, gone, 2)]
         )
-        reports = [p.apply(batch) for p in (live, v3, v2)]
+        reports = [p.apply(batch) for p in (live, v4, v2)]
         # Restored partitioners start on a fresh ledger, so only they
         # agree on modeled seconds; every outcome matches the live one.
         assert reports[1] == reports[2]
         for field in ("cut", "balanced", "balance_stats", "refine_stats",
                       "applied_modifiers"):
             assert getattr(reports[1], field) == getattr(reports[0], field)
-        assert _digests(v3) == _digests(live) == _digests(v2)
+        assert _digests(v4) == _digests(live) == _digests(v2)
 
     def test_no_array_scales_with_the_pool(
         self, warm_partitioner, tmp_path
@@ -434,12 +539,12 @@ class TestFormatV3:
         filled = int(np.count_nonzero(graph.bucket_list != EMPTY))
         bound = max(graph.capacity, filled)
         assert bound < graph.pool_buckets * SLOTS_PER_BUCKET
-        with np.load(path) as data:
-            for key in data.files:
-                # The JSON payloads are text sized by the configuration
-                # and the stream metadata, not by the graph.
-                if not key.endswith("_json"):
-                    assert data[key].size <= bound, key
+        header, arrays = _unpack(path.read_bytes())
+        for key, array in arrays.items():
+            assert array.size <= bound, key
+        # The header is text sized by the configuration, the stream
+        # metadata and the layout, not by the graph.
+        assert len(json.dumps(header)) < 4096
 
     def test_mid_file_byte_flip_raises_partition_error(
         self, warm_partitioner, tmp_path
@@ -458,6 +563,19 @@ class TestFormatV3:
     ):
         path = tmp_path / "checkpoint.npz"
         save_partitioner(warm_partitioner, path)
+        change, message = _MALFORMED_V3[malformation]
+        _rewrite(path, change)
+        with pytest.raises(PartitionError, match=message) as caught:
+            load_partitioner(path)
+        assert "CRC" not in str(caught.value)
+
+    @pytest.mark.parametrize("malformation", sorted(_MALFORMED_V3))
+    def test_malformed_v3_file_raises_partition_error(
+        self, warm_partitioner, tmp_path, save_legacy_checkpoint,
+        malformation,
+    ):
+        path = tmp_path / "checkpoint.npz"
+        save_legacy_checkpoint(warm_partitioner, path, 3)
         change, message = _MALFORMED_V3[malformation]
         _rewrite(path, change)
         with pytest.raises(PartitionError, match=message):

@@ -1,11 +1,12 @@
-"""Generation-stamped gather caches on the bucket-list graph.
+"""Slot geometry on the bucket-list graph: the gather cache and slot
+owners.
 
-``slot_index_arrays`` memoizes the per-vertex-set slot gather and
-``slot_owner_array`` maintains a pool-wide slot->owner index; both are
-invalidated/maintained through ``geometry_generation``, which modifier
-kernels bump on any bucket allocation or relocation.  These properties
-check the cached answers against independent reconstructions from
-``bucket_start``/``bucket_count`` after arbitrary modifier batches.
+``slot_index_arrays`` memoizes the per-vertex-set slot gather, stamped
+with ``geometry_generation``, which modifier kernels bump on any bucket
+allocation or relocation; ``slot_owners`` maps filled slots to their
+vertices from the bucket ranges alone.  These properties check both
+against independent reconstructions from ``bucket_start``/
+``bucket_count`` after arbitrary modifier batches.
 """
 
 import numpy as np
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 from repro.core.modification import apply_batch
 from repro.eval.workloads import TraceConfig, generate_trace
-from repro.graph import BucketListGraph, circuit_graph
+from repro.graph import (
+    BucketListGraph,
+    EdgeInsert,
+    VertexDelete,
+    VertexInsert,
+    circuit_graph,
+)
 from repro.graph.bucketlist import EMPTY, SLOTS_PER_BUCKET
 from repro.gpusim import GpuContext
 
@@ -80,8 +87,6 @@ class TestSlotIndexCache:
         graph.slot_index_arrays(vertices)  # warm the cache
         gen_before = graph.geometry_generation
         # Insert enough distinct edges at u to overflow its buckets.
-        from repro.graph import EdgeInsert
-
         present = set(
             int(v)
             for v in graph.bucket_list[
@@ -99,74 +104,65 @@ class TestSlotIndexCache:
         np.testing.assert_array_equal(owner, ref_owner)
 
 
-class TestSlotOwnerArray:
-    @given(seed=st.integers(0, 5_000))
-    @settings(max_examples=15, deadline=None)
-    def test_owner_correct_on_filled_slots_after_churn(self, seed):
-        """Every filled slot in the used pool maps back to the vertex
-        whose current bucket range contains it.  (Abandoned relocation
-        ranges may keep a stale owner, but they are permanently EMPTY,
-        so only filled slots carry the contract.)"""
+class TestSlotOwners:
+    @given(
+        seed=st.integers(0, 5_000),
+        extra=st.integers(0, 8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_owner_is_the_vertex_whose_range_holds_the_slot(
+        self, seed, extra
+    ):
+        """After churn, a vertex delete and re-insert and an overflow
+        that relocates a vertex to the pool tail (when ``extra`` > 0),
+        every filled slot's owner is the vertex whose ``slot_range``
+        holds it."""
         graph = _churned_graph(seed)
-        owner = graph.slot_owner_array()
+        ctx = GpuContext()
+        rng = np.random.default_rng(seed)
+        gone, hub = map(int, rng.permutation(graph.active_vertices())[:2])
+        apply_batch(ctx, graph, [VertexDelete(gone)], mode="vector")
+        free = int(graph.bucket_count[hub]) * SLOTS_PER_BUCKET - graph.degree(
+            hub
+        )
+        others = [
+            int(v)
+            for v in graph.active_vertices()
+            if v != hub and not graph.has_edge(hub, int(v))
+        ]
+        grow = others[: free + extra] if extra else others[: free // 2]
+        spare = [v for v in others if v not in grow][:3]
+        start = int(graph.bucket_start[hub])
+        apply_batch(
+            ctx,
+            graph,
+            [VertexInsert(gone)]
+            + [EdgeInsert(gone, v) for v in spare]
+            + [EdgeInsert(hub, v) for v in grow],
+            mode="vector",
+        )
+        if extra and len(grow) > free:
+            assert int(graph.bucket_start[hub]) != start  # relocated
         used = graph.num_buckets_used * SLOTS_PER_BUCKET
         ref = np.full(used, -1, dtype=np.int64)
-        for u in graph.active_vertices():
-            start, n_slots = graph.slot_range(int(u))
-            ref[start : start + n_slots] = u
-        filled = graph.bucket_list[:used] != EMPTY
-        np.testing.assert_array_equal(owner[:used][filled], ref[filled])
-
-    def test_incrementally_maintained_not_rebuilt(self):
-        """Modifier batches keep the cached array object alive and
-        correct — the O(pool) scatter happens exactly once."""
-        from repro.graph import EdgeDelete, EdgeInsert
-
-        graph = _churned_graph(seed=9, batches=1)
-        first = graph.slot_owner_array()
-        # Hand-built churn: drop three existing edges, add three fresh
-        # ones, then grow vertex 2 until it relocates.
-        used = graph.num_buckets_used * SLOTS_PER_BUCKET
-        present = set()
-        owner0 = graph.slot_owner_array()
-        for pos in np.flatnonzero(graph.bucket_list[:used] != EMPTY):
-            u, v = int(owner0[pos]), int(graph.bucket_list[pos])
-            present.add((min(u, v), max(u, v)))
-        doomed = sorted(present)[:3]
-        n = graph.num_vertices
-        fresh = []
-        for u in range(3):
-            for v in range(20, n):
-                if (
-                    graph.is_active(v)
-                    and (u, v) not in present
-                    and (v, u) not in present
-                ):
-                    fresh.append((u, v))
-                    present.add((u, v))
-                    break
-        grow = [
-            (2, v)
-            for v in range(3, n)
-            if graph.is_active(v)
-            and (2, v) not in present
-            and (v, 2) not in present
-        ][:40]
-        ctx = GpuContext()
-        batch = (
-            [EdgeDelete(u, v) for u, v in doomed]
-            + [EdgeInsert(u, v) for u, v in fresh]
-            + [EdgeInsert(u, v) for u, v in grow]
+        for u in range(graph.num_vertices):
+            first, n_slots = graph.slot_range(u)
+            assert np.all(ref[first : first + n_slots] == -1)  # disjoint
+            ref[first : first + n_slots] = u
+        positions, _, _ = graph.filled_slots()
+        assert np.all(ref[positions] >= 0)
+        np.testing.assert_array_equal(
+            graph.slot_owners(positions), ref[positions]
         )
-        apply_batch(ctx, graph, batch, mode="vector")
-        again = graph.slot_owner_array()
-        assert again is first  # same buffer, updated in place
-        used = graph.num_buckets_used * SLOTS_PER_BUCKET
-        filled = graph.bucket_list[:used] != EMPTY
-        for u in graph.active_vertices():
-            start, n_slots = graph.slot_range(int(u))
-            seg = slice(start, start + n_slots)
-            np.testing.assert_array_equal(
-                again[seg][filled[seg]],
-                np.full(int(filled[seg].sum()), int(u)),
-            )
+
+    def test_reserved_id_without_buckets_owns_nothing(self):
+        """A vertex ID reserved mid-batch has no buckets yet (its
+        ``bucket_start`` is still 0); vertex 0's slots stay vertex 0's."""
+        graph = BucketListGraph.from_csr(circuit_graph(80, 1.5, seed=2))
+        u = graph.new_vertex_id()
+        assert graph.bucket_count[u] == 0
+        positions, _, _ = graph.filled_slots()
+        first, n_slots = graph.slot_range(0)
+        held = positions[(positions >= first) & (positions < first + n_slots)]
+        assert held.size
+        assert np.all(graph.slot_owners(held) == 0)

@@ -194,3 +194,41 @@ class TestOriginTracePersistence:
             pass
         (replay,) = _replay_spans(recorder, "serve.recover.replay")
         assert replay.trace["id"] == make_trace_id("acme", "s", 0)
+
+
+class TestEvictAndReattachTrace:
+    def test_evict_and_reattach_record_their_stream_spans(
+        self, tmp_path, clean_mods
+    ):
+        """The evict's checkpoint and the journal recovery of the next
+        request to the evicted session fold under those requests' op
+        spans."""
+        recorder = TraceRecorder(session="run")
+        with ServerThread(
+            ServerConfig(
+                workers=1,
+                data_dir=str(tmp_path / "d"),
+                trace_recorder=recorder,
+            )
+        ) as thread:
+            with ServeClient(
+                "127.0.0.1",
+                thread.tcp_port,
+                tenant="acme",
+                trace_recorder=recorder,
+            ) as client:
+                client.create("s", SPEC, k=3, seed=4)
+                client.submit("s", clean_mods(SPEC, 12))
+                client.evict("s")
+                client.digest("s")
+        by_id = {event.span_id: event for event in recorder.events}
+
+        def parents(name):
+            return sorted(
+                (by_id[e.parent].name, e.trace["op"])
+                for e in recorder.events
+                if e.name == name
+            )
+
+        assert ("serve.evict", "evict") in parents("stream.checkpoint")
+        assert parents("stream.recover") == [("serve.digest", "digest")]

@@ -1,9 +1,12 @@
 """Recovery journal: encoding, torn tails, compaction, corruption."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IGKway, PartitionConfig
 from repro.core.transaction import state_digest
@@ -272,6 +275,122 @@ class TestCompaction:
         assert journal.log_path.read_bytes() == expected.encode("utf-8")
         assert [json.loads(line)["r"] for line in keep] == ["m", "d", "f"]
         journal.close()
+
+
+def _parsing_filter(journal, applied_seq):
+    """The log text compaction kept before it classified lines without
+    parsing: every record :meth:`StreamJournal._read_records` returns,
+    less the ``"m"`` and ``"f"`` records at or below the cursor."""
+    keep = []
+    for line, record in journal._read_records():
+        if record["r"] == "m" and record["s"] <= applied_seq:
+            continue
+        if record["r"] == "f" and record["b"] <= applied_seq:
+            continue
+        keep.append(line + "\n")
+    return "".join(keep)
+
+
+_ids = st.integers(-3, 2**40)
+_weights = st.one_of(
+    st.integers(-3, 2**40), st.floats(allow_nan=False), st.booleans()
+)
+_modifiers = st.one_of(
+    st.builds(EdgeInsert, _ids, _ids, _weights),
+    st.builds(EdgeDelete, _ids, _ids),
+    st.builds(VertexInsert, _ids, _weights),
+    st.builds(VertexDelete, _ids),
+)
+_seqs = st.integers(-2, 40)
+_texts = st.text(max_size=12)
+
+
+def _writer_lines(draw):
+    """One record as the journal writer formats it."""
+    kind = draw(st.sampled_from("mfd"))
+    if kind == "m":
+        return modifier_line(draw(_seqs), draw(_modifiers))
+    if kind == "f":
+        record = {"r": "f", "a": draw(_seqs), "b": draw(_seqs)}
+        record["w"] = draw(
+            st.one_of(st.sampled_from(["size", "deadline", "drain"]), _texts)
+        )
+        excluded = draw(st.lists(_seqs, max_size=4))
+        if excluded:
+            record["x"] = sorted(excluded)
+        return _dumps(record)
+    record = {"r": "d", "s": draw(_seqs), "e": draw(_texts)}
+    record.update(encode_modifier(draw(_modifiers)))
+    return _dumps(record)
+
+
+@st.composite
+def _logs(draw):
+    """Journal text: writer records, records re-spaced by a default
+    ``json.dumps``, blank and padded lines, an unparseable line and a
+    torn tail."""
+    lines = []
+    for _ in range(draw(st.integers(0, 24))):
+        shape = draw(st.sampled_from(
+            ["writer"] * 6 + ["spaced", "padded", "blank", "garbage"]
+        ))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["\n", " \n", "\t\n"])))
+            continue
+        if shape == "garbage":
+            lines.append(draw(st.sampled_from(
+                ['{"r":"m","s":01,"t":"vd","u":1}\n',
+                 '{"r":"f","a":0,"b":-01,"w":"size"}\n',
+                 '{"r":"m","s":\n', "[\n", '{"s":3}\n', "nope\n"]
+            )))
+            continue
+        line = _writer_lines(draw)
+        if shape == "spaced":
+            line = json.dumps(json.loads(line)) + "\n"
+        elif shape == "padded":
+            line = "  " + line[:-1] + " \n"
+        lines.append(line)
+    if lines and draw(st.booleans()):
+        # A torn tail: the prefix of a record a crash interrupted.
+        tail = _writer_lines(draw)
+        lines.append(tail[: draw(st.integers(1, len(tail) - 1))])
+    return "".join(lines)
+
+
+class TestCompactionFilter:
+    @given(log=_logs(), applied_seq=st.integers(-3, 42))
+    @settings(max_examples=300, deadline=None)
+    def test_compact_keeps_what_the_parsing_filter_keeps(
+        self, log, applied_seq
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = StreamJournal(tmp)
+            journal.log_path.write_text(log, encoding="utf-8")
+            expected = _parsing_filter(journal, applied_seq)
+            journal._compact(applied_seq)
+            assert journal.log_path.read_bytes() == expected.encode("utf-8")
+
+    def test_writer_lines_take_the_pattern(self):
+        """The lines the writer formats with int fields never reach
+        ``json.loads``; the ones it formats through ``json.dumps``
+        (non-int fields, escaped reasons) and dead letters do."""
+        fast = [
+            modifier_line(4, EdgeInsert(1, 2, 3)),
+            modifier_line(-1, EdgeDelete(0, 2**40)),
+            modifier_line(0, VertexInsert(7, -2)),
+            modifier_line(9, VertexDelete(7)),
+            _dumps({"r": "f", "a": 0, "b": 3, "w": "size"}),
+            _dumps({"r": "f", "a": 0, "b": 3, "w": "", "x": [1, 2]}),
+        ]
+        slow = [
+            modifier_line(4, EdgeInsert(1, 2, 1.5)),
+            _dumps({"r": "f", "a": 0, "b": 3, "w": 'a"b'}),
+            _dumps({"r": "f", "a": 0, "b": 3, "w": "\u00e9"}),
+            _dumps({"r": "d", "s": 1, "e": "x", "t": "vd", "u": 1}),
+        ]
+        pattern = journal_module._WRITER_LINE
+        assert all(pattern.fullmatch(line[:-1]) for line in fast)
+        assert not any(pattern.fullmatch(line[:-1]) for line in slow)
 
 
 class TestTrimOnOpen:

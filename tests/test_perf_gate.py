@@ -21,11 +21,14 @@ def _record():
         "ledger": {"warp_instructions": 640, "transactions": 32},
         "final_cut": 76,
         "partition_sha256": "e40f",
+        "checkpoint_sha256": "e40f",
         "device_seconds": {"modification": 1e-3, "partitioning": 2e-3},
         "host_seconds": {
             "full-partition": 0.2,
             "cut-size": 0.001,
             "sweep_total": 0.5,
+            "checkpoint-save": 0.002,
+            "checkpoint-load": 0.003,
         },
     }
 
@@ -64,3 +67,38 @@ def test_missing_full_partition_phase_fails(perf_gate):
     failures = perf_gate.compare(_record(), fresh)
     assert len(failures) == 1
     assert "full-partition" in failures[0]
+
+
+def test_complete_record_passes(perf_gate):
+    assert perf_gate.compare(_record(), _record()) == []
+
+
+@pytest.mark.parametrize("phase", ["checkpoint-save", "checkpoint-load"])
+def test_slow_checkpoint_phase_fails(perf_gate, phase):
+    """A checkpoint phase is gated with the sweep's tolerance but its
+    own few-ms floor, not the sweep's 50 ms."""
+    base = _record()["host_seconds"][phase]
+    fresh = _record()
+    fresh["host_seconds"][phase] = base * 1.2 + 0.004
+    assert perf_gate.compare(_record(), fresh) == []
+    fresh["host_seconds"][phase] = base * 1.2 + 0.006
+    failures = perf_gate.compare(_record(), fresh)
+    assert len(failures) == 1
+    assert f"{phase} regressed" in failures[0]
+
+
+@pytest.mark.parametrize("phase", ["checkpoint-save", "checkpoint-load"])
+def test_missing_checkpoint_phase_fails(perf_gate, phase):
+    fresh = _record()
+    del fresh["host_seconds"][phase]
+    failures = perf_gate.compare(_record(), fresh)
+    assert len(failures) == 1
+    assert phase in failures[0]
+
+
+def test_checkpoint_round_trip_digest_mismatch_fails(perf_gate):
+    fresh = _record()
+    fresh["checkpoint_sha256"] = "0bad"
+    failures = perf_gate.compare(_record(), fresh)
+    assert len(failures) == 1
+    assert "round trip changed the partition" in failures[0]

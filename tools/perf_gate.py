@@ -8,11 +8,15 @@ and compares it against the ``gate`` section of the checked-in
   digest and simulated device-seconds must match the baseline exactly.
   A mismatch means the cost-parity or bit-identity contract broke, not
   that the machine is slow, so it always fails the gate.
-* **host wall-clock** — the sweep and the initial full partition
-  (its ``full-partition`` phase) must each not regress more than
-  ``TOLERANCE`` (20%) over the baseline, with an absolute floor so
-  sub-100ms jitter on a loaded machine cannot flake the gate.  A run
-  that records no ``full-partition`` phase fails.
+* **host wall-clock** — the sweep, the initial full partition (its
+  ``full-partition`` phase) and the checkpoint round trip after the
+  sweep (``checkpoint-save``, ``checkpoint-load``) must each not
+  regress more than ``TOLERANCE`` (20%) over the baseline, plus an
+  absolute floor sized to the phase (``HOST_PHASE_FLOORS``) so jitter
+  on a loaded machine cannot flake the gate.  A run that records none
+  of these phases fails.
+* **checkpoint round trip** — the partition loaded back from the
+  checkpoint must have the live partition's sha256.
 * **cut-size host fraction** — the per-batch cut read must stay an
   incremental O(k^2) lookup: its host time may not exceed
   ``CUT_HOST_FRACTION`` of the sweep (plus a jitter floor).  Before the
@@ -52,6 +56,14 @@ TOLERANCE = 0.20
 # Below this absolute slack (seconds) a wall-clock difference is noise,
 # not a regression: the smoke sweep itself only takes tens of ms.
 ABSOLUTE_FLOOR = 0.05
+# Gated host phases and each one's absolute floor: a checkpoint save or
+# load of the smoke graph takes a few ms, so its floor is a few ms too.
+HOST_PHASE_FLOORS = {
+    "sweep_total": ABSOLUTE_FLOOR,
+    "full-partition": ABSOLUTE_FLOOR,
+    "checkpoint-save": 0.005,
+    "checkpoint-load": 0.005,
+}
 # The per-batch cut read must stay incremental: at most this fraction
 # of the sweep's host time (it was ~0.67 when it re-scanned the pool),
 # with an absolute floor below which timer jitter dominates.
@@ -89,7 +101,14 @@ def compare(baseline_gate: dict, fresh: dict) -> list[str]:
                 "(cost-parity contract violation)"
             )
 
-    for phase in ("sweep_total", "full-partition"):
+    if fresh.get("checkpoint_sha256") != fresh["partition_sha256"]:
+        failures.append(
+            "the checkpoint round trip changed the partition: loaded "
+            f"sha256 {fresh.get('checkpoint_sha256')!r} != live "
+            f"{fresh['partition_sha256']!r}"
+        )
+
+    for phase, floor in HOST_PHASE_FLOORS.items():
         base_host = baseline_gate["host_seconds"][phase]
         fresh_host = fresh["host_seconds"].get(phase)
         if fresh_host is None:
@@ -97,10 +116,10 @@ def compare(baseline_gate: dict, fresh: dict) -> list[str]:
                 f"the run recorded no {phase!r} phase, so its host time "
                 "cannot be checked (span renamed or lost?)"
             )
-        elif fresh_host > base_host * (1.0 + TOLERANCE) + ABSOLUTE_FLOOR:
+        elif fresh_host > base_host * (1.0 + TOLERANCE) + floor:
             failures.append(
                 f"host {phase} regressed: {fresh_host:.3f}s > "
-                f"{base_host:.3f}s * {1 + TOLERANCE:.2f} + {ABSOLUTE_FLOOR}s"
+                f"{base_host:.3f}s * {1 + TOLERANCE:.2f} + {floor}s"
             )
 
     fresh_host = fresh["host_seconds"]["sweep_total"]
