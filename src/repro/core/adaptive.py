@@ -23,10 +23,15 @@ back to a full re-partition when either trigger fires:
 A full re-partition resets both triggers.  The class exposes the same
 ``apply`` interface as :class:`~repro.core.igkway.IGKway`, with the
 report noting whether the iteration was incremental or a fallback.
+
+The fallback and the stream layer's escalation rebuild are one method,
+:meth:`AdaptiveIGKway.repartition`, that differs between them only in
+pool compaction and installs its labels with ``IGKway.install``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +44,10 @@ from repro.graph.csr import CSRGraph
 from repro.graph.modifiers import Modifier
 from repro.partition.config import PartitionConfig
 from repro.partition.gkway import GKwayPartitioner
-from repro.partition.state import UNASSIGNED, PartitionState
+from repro.partition.state import UNASSIGNED
+
+#: The trigger thresholds, by constructor argument name.
+_THRESHOLDS = ("volume_threshold", "batch_threshold", "drift_threshold")
 
 
 @dataclass
@@ -56,7 +64,8 @@ class AdaptiveIGKway:
     """iG-kway with the paper's recommended FGP fallback policy.
 
     Args:
-        csr: Initial graph.
+        csr: Initial graph (None for a partitioner :meth:`restore`
+            wraps around a loaded checkpoint).
         config: Partitioning configuration.
         volume_threshold: Cumulative modifiers (since the last full
             partition) that trigger a fallback, as a fraction of |V|
@@ -65,11 +74,14 @@ class AdaptiveIGKway:
             fallback, as a fraction of |V|.
         drift_threshold: Cut-size growth factor over the post-FGP cut
             that triggers a fallback.
+
+    :meth:`as_meta` and :meth:`restore` carry the thresholds and the
+    trigger state through checkpoint metadata.
     """
 
     def __init__(
         self,
-        csr: CSRGraph,
+        csr: CSRGraph | None,
         config: PartitionConfig,
         ctx: GpuContext | None = None,
         volume_threshold: float = 0.5,
@@ -91,34 +103,32 @@ class AdaptiveIGKway:
         self.reference_cut: int | None = None
         self.fallbacks_taken = 0
 
-    @classmethod
-    def from_inner(
-        cls,
-        inner: IGKway,
-        volume_threshold: float = 0.5,
-        batch_threshold: float = 0.1,
-        drift_threshold: float = 2.0,
-    ) -> "AdaptiveIGKway":
-        """Wrap an existing (possibly restored) :class:`IGKway`.
+    def as_meta(self) -> dict:
+        """JSON-able thresholds and trigger state (see :meth:`restore`)."""
+        return {
+            "volume_threshold": self.volume_threshold,
+            "batch_threshold": self.batch_threshold,
+            "drift_threshold": self.drift_threshold,
+            "modifiers_since_full": self.modifiers_since_full,
+            "reference_cut": self.reference_cut,
+            "fallbacks_taken": self.fallbacks_taken,
+        }
 
-        Used by checkpoint recovery (:mod:`repro.stream.journal`): the
-        inner partitioner already carries live graph and partition
-        state, so no fresh :class:`IGKway` must be constructed.  Trigger
-        counters start reset; callers restore them from checkpoint
-        metadata.
-        """
-        adaptive = cls.__new__(cls)
-        if volume_threshold <= 0 or batch_threshold <= 0:
-            raise ValueError("thresholds must be positive")
-        if drift_threshold <= 1.0:
-            raise ValueError("drift_threshold must exceed 1.0")
+    @classmethod
+    def restore(cls, inner: IGKway, meta: dict) -> "AdaptiveIGKway":
+        """Wrap a restored :class:`IGKway` (a loaded checkpoint) with the
+        thresholds and trigger state :meth:`as_meta` saved; a key
+        missing from ``meta`` keeps the constructor's default."""
+        adaptive = cls(
+            None,
+            inner.config,
+            ctx=inner.ctx,
+            **{key: meta[key] for key in _THRESHOLDS if key in meta},
+        )
         adaptive.inner = inner
-        adaptive.volume_threshold = volume_threshold
-        adaptive.batch_threshold = batch_threshold
-        adaptive.drift_threshold = drift_threshold
-        adaptive.modifiers_since_full = 0
-        adaptive.reference_cut = None
-        adaptive.fallbacks_taken = 0
+        adaptive.modifiers_since_full = meta.get("modifiers_since_full", 0)
+        adaptive.reference_cut = meta.get("reference_cut")
+        adaptive.fallbacks_taken = meta.get("fallbacks_taken", 0)
         return adaptive
 
     # -- delegation ------------------------------------------------------------
@@ -190,7 +200,15 @@ class AdaptiveIGKway:
 
         used_fallback = reason is not None
         if used_fallback:
-            iteration = self._fallback(iteration)
+            fgp = self.repartition()
+            iteration = dataclasses.replace(
+                iteration,
+                partitioning_seconds=(
+                    iteration.partitioning_seconds + fgp.seconds
+                ),
+                cut=fgp.cut,
+                balanced=fgp.balanced,
+            )
         return AdaptiveReport(
             iteration=iteration,
             used_fallback=used_fallback,
@@ -198,31 +216,39 @@ class AdaptiveIGKway:
             modifiers_since_full=self.modifiers_since_full,
         )
 
-    def full_rebuild(self) -> FullPartitionReport:
-        """Escalation path: rebuild the device structures from scratch.
+    def repartition(self, compact: bool = False) -> FullPartitionReport:
+        """Re-partition the live graph from scratch with G-kway (FGP).
 
-        Unlike :meth:`_fallback` (which re-partitions but keeps the live
-        bucket list), this compacts the current graph into a *fresh*
-        bucket-list graph — new pool, new spare-bucket headroom, vertex
-        IDs preserved — then runs FGP on it.  This is the stream
-        layer's last resort when incremental application keeps
-        failing: it repairs failure causes a re-partition cannot, above
-        all an exhausted bucket pool.
+        The graph is compacted to CSR on the host, partitioned at a seed
+        that advances with ``iterations_applied``, and the labels are
+        projected back onto the live vertex IDs and installed
+        (:meth:`IGKway.install`).  Costs are charged to the
+        ``partitioning`` section like any other partitioning work.
+
+        By default this is Section VI.C's fallback: the live bucket list
+        stays and only the CSR is uploaded.  ``compact=True`` is the
+        stream layer's escalation rebuild: the graph is downloaded and
+        compacted into a *fresh* bucket list (new pool, new spare-bucket
+        headroom, vertex IDs preserved), which is uploaded instead — the
+        last resort when incremental application keeps failing, since
+        it repairs causes a re-partition cannot, above all an exhausted
+        bucket pool.
         """
         inner = self.inner
         graph, _state = inner._require_partitioned()
         ledger = inner.ctx.ledger
         before = ledger.snapshot()
         with ledger.section("partitioning"):
-            ledger.charge_d2h(graph.nbytes())
-            new_graph = graph.compacted(
-                gamma=inner.config.gamma,
-                capacity_factor=inner.capacity_factor,
-            )
-            inner.ctx.reallocate("bucket_list", new_graph.nbytes())
-            inner.ctx.reallocate("partition", 8 * new_graph.capacity)
-            ledger.charge_h2d(new_graph.nbytes())
-            csr, id_map = new_graph.to_csr()
+            if compact:
+                ledger.charge_d2h(graph.nbytes())
+                graph = graph.compacted(
+                    gamma=inner.config.gamma,
+                    capacity_factor=inner.capacity_factor,
+                )
+                inner.ctx.reallocate("bucket_list", graph.nbytes())
+                inner.ctx.reallocate("partition", 8 * graph.capacity)
+            csr, id_map = graph.to_csr()
+            ledger.charge_h2d(graph.nbytes() if compact else csr.nbytes())
             result = GKwayPartitioner(
                 inner.config, ctx=inner.ctx
             ).partition(
@@ -231,12 +257,9 @@ class AdaptiveIGKway:
             )
         seconds = ledger.model.seconds(ledger.total.diff(before))
 
-        fresh = np.full(new_graph.capacity, UNASSIGNED, dtype=np.int64)
-        fresh[id_map] = result.partition
-        inner.graph = new_graph
-        inner.state = PartitionState(
-            fresh, new_graph.vwgt, inner.config.k, inner.config.epsilon
-        )
+        labels = np.full(graph.capacity, UNASSIGNED, dtype=np.int64)
+        labels[id_map] = result.partition
+        inner.install(graph, labels)
         self.reference_cut = result.cut
         self.modifiers_since_full = 0
         self.fallbacks_taken += 1
@@ -245,48 +268,4 @@ class AdaptiveIGKway:
             cut=result.cut,
             balanced=result.balanced,
             num_levels=result.num_levels,
-        )
-
-    def _fallback(self, incremental: IterationReport) -> IterationReport:
-        """Re-partition the current graph from scratch on device.
-
-        The modified graph is compacted to CSR (host-side), repartitioned
-        with G-kway, and the labels are projected back onto the live
-        bucket-list IDs.  Costs are charged to the ``partitioning``
-        section like any other partitioning work.
-        """
-        inner = self.inner
-        graph, state = inner._require_partitioned()
-        ledger = inner.ctx.ledger
-        before = ledger.snapshot()
-        with ledger.section("partitioning"):
-            csr, id_map = graph.to_csr()
-            ledger.charge_h2d(csr.nbytes())
-            result = GKwayPartitioner(
-                inner.config, ctx=inner.ctx
-            ).partition(
-                csr,
-                seed=inner.config.seed + inner.iterations_applied,
-            )
-        fgp_seconds = ledger.model.seconds(ledger.total.diff(before))
-
-        fresh = np.full(graph.capacity, UNASSIGNED, dtype=np.int64)
-        fresh[id_map] = result.partition
-        inner.state = PartitionState(
-            fresh, graph.vwgt, inner.config.k, inner.config.epsilon
-        )
-        self.reference_cut = result.cut
-        self.modifiers_since_full = 0
-        self.fallbacks_taken += 1
-        return IterationReport(
-            modification_seconds=incremental.modification_seconds,
-            partitioning_seconds=(
-                incremental.partitioning_seconds + fgp_seconds
-            ),
-            cut=result.cut,
-            balanced=result.balanced,
-            balance_stats=incremental.balance_stats,
-            refine_stats=incremental.refine_stats,
-            applied_modifiers=incremental.applied_modifiers,
-            cut_maintenance_seconds=incremental.cut_maintenance_seconds,
         )

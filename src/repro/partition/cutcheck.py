@@ -34,9 +34,7 @@ def verify_cut(graph: BucketListGraph, state) -> int:
     Args:
         graph: The live bucket-list graph.
         state: The :class:`~repro.partition.state.PartitionState` whose
-            ``cut_acc`` to verify.  An absent or not-yet-bootstrapped
-            accumulator verifies trivially (there is nothing maintained
-            to drift).
+            ``cut_acc`` to verify.
 
     Returns:
         The verified cut size (from the scan, which by then equals the
@@ -46,12 +44,9 @@ def verify_cut(graph: BucketListGraph, state) -> int:
         PartitionError: On any entry-level disagreement between the
             maintained matrix and the scan, or a cut-size mismatch.
     """
-    scan_cut = cut_size_bucketlist(graph, state.partition)
-    acc = getattr(state, "cut_acc", None)
-    if acc is None or not acc.active:
-        return scan_cut
+    acc = state.cut_acc
     expected = arc_matrix_bucketlist(graph, state.partition, acc.k)
-    maintained = acc.arc_matrix(state.partition)
+    maintained = acc.arc_matrix()
     if not np.array_equal(maintained, expected):
         diff = maintained - expected
         bad = np.argwhere(diff != 0)
@@ -64,7 +59,8 @@ def verify_cut(graph: BucketListGraph, state) -> int:
             "incremental cut matrix drifted from pool scan: "
             f"{bad.shape[0]} mismatching entries; first: {sample}"
         )
-    acc_cut = acc.cut_size(state.partition)
+    scan_cut = cut_size_bucketlist(graph, state.partition)
+    acc_cut = acc.cut_size()
     if acc_cut != scan_cut:
         raise PartitionError(
             f"incremental cut {acc_cut} != scan cut {scan_cut} "

@@ -118,13 +118,11 @@ class StreamSession:
             budget and base backoff delay for quarantined modifiers.
         escalate_after: Consecutive failing windows before the session
             escalates to a full device-structure rebuild
-            (:meth:`AdaptiveIGKway.full_rebuild`).
-        clock: Zero-argument callable returning the session's notion of
-            "now" for scheduler deadlines and quarantine backoff.  The
-            default reads the partitioner's cost ledger
-            (:func:`~repro.stream.scheduler.ledger_cycles`); tests and
-            the serving layer inject a deterministic fake so nothing
-            depends on wall time or on another session's ledger.
+            (:meth:`AdaptiveIGKway.repartition` with ``compact=True``).
+
+    Scheduler deadlines and quarantine backoff read the session's own
+    cost ledger (:func:`~repro.stream.scheduler.ledger_cycles`), so
+    nothing depends on wall time or on another session's ledger.
     """
 
     def __init__(
@@ -144,7 +142,6 @@ class StreamSession:
         quarantine_max_attempts: int = 4,
         quarantine_backoff_cycles: float = 1e6,
         escalate_after: int = 3,
-        clock: Optional[Callable[[], float]] = None,
     ):
         partitioner = AdaptiveIGKway(
             csr,
@@ -165,7 +162,6 @@ class StreamSession:
             quarantine_max_attempts=quarantine_max_attempts,
             quarantine_backoff_cycles=quarantine_backoff_cycles,
             escalate_after=escalate_after,
-            clock=clock,
         )
 
     def _init_parts(
@@ -180,7 +176,6 @@ class StreamSession:
         quarantine_max_attempts: int = 4,
         quarantine_backoff_cycles: float = 1e6,
         escalate_after: int = 3,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
@@ -213,7 +208,6 @@ class StreamSession:
         )
         self.quarantine.bind_metrics(self.obs)
         self.escalate_after = escalate_after
-        self._clock_fn = clock
         #: Fired after every durable checkpoint write.  The serve layer
         #: hooks this to journal cycle settlements that must stay
         #: consistent with the checkpoint cursor (a checkpoint can fire
@@ -638,12 +632,13 @@ class StreamSession:
     def _escalate(self) -> None:
         """Full device-structure rebuild after repeated window failures.
 
-        :meth:`AdaptiveIGKway.full_rebuild` constructs a fresh bucket
-        list (new pool) and re-runs FGP — the only recovery that fixes
-        structural causes like an exhausted bucket pool.
+        :meth:`AdaptiveIGKway.repartition` with ``compact=True``
+        constructs a fresh bucket list (new pool) and re-runs FGP — the
+        only recovery that fixes structural causes like an exhausted
+        bucket pool.
         """
         self.telemetry.record_escalation()
-        report = self.partitioner.full_rebuild()
+        report = self.partitioner.repartition(compact=True)
         self.telemetry.record_full_partition(report.cut, report.seconds)
         self._consecutive_failures = 0
         if self.journal is not None and not self._replaying:
@@ -669,16 +664,7 @@ class StreamSession:
         meta = {
             "applied_seq": self.applied_seq,
             "next_seq": self.queue.next_seq,
-            "adaptive": {
-                "volume_threshold": self.partitioner.volume_threshold,
-                "batch_threshold": self.partitioner.batch_threshold,
-                "drift_threshold": self.partitioner.drift_threshold,
-                "modifiers_since_full": (
-                    self.partitioner.modifiers_since_full
-                ),
-                "reference_cut": self.partitioner.reference_cut,
-                "fallbacks_taken": self.partitioner.fallbacks_taken,
-            },
+            "adaptive": self.partitioner.as_meta(),
             "scheduler": {
                 "target_batch_size": scheduler.target_batch_size,
                 "batch_headroom": scheduler.batch_headroom,
@@ -705,10 +691,7 @@ class StreamSession:
 
     @classmethod
     def recover(
-        cls,
-        journal_dir: "str | Path",
-        ctx: GpuContext | None = None,
-        clock: Optional[Callable[[], float]] = None,
+        cls, journal_dir: "str | Path", ctx: GpuContext | None = None
     ) -> "StreamSession":
         """Rebuild a session from its journal after a crash.
 
@@ -720,31 +703,17 @@ class StreamSession:
         from the checkpoint metadata.
         """
         with span("stream.recover"):
-            return cls._recover_impl(journal_dir, ctx=ctx, clock=clock)
+            return cls._recover_impl(journal_dir, ctx=ctx)
 
     @classmethod
     def _recover_impl(
-        cls,
-        journal_dir: "str | Path",
-        ctx: GpuContext | None = None,
-        clock: Optional[Callable[[], float]] = None,
+        cls, journal_dir: "str | Path", ctx: GpuContext | None = None
     ) -> "StreamSession":
         journal = StreamJournal(journal_dir)
         state = journal.load(ctx=ctx)
         meta = state.meta
-        adaptive_meta = meta.get("adaptive", {})
-        partitioner = AdaptiveIGKway.from_inner(
-            state.partitioner,
-            volume_threshold=adaptive_meta.get("volume_threshold", 0.5),
-            batch_threshold=adaptive_meta.get("batch_threshold", 0.1),
-            drift_threshold=adaptive_meta.get("drift_threshold", 2.0),
-        )
-        partitioner.modifiers_since_full = adaptive_meta.get(
-            "modifiers_since_full", 0
-        )
-        partitioner.reference_cut = adaptive_meta.get("reference_cut")
-        partitioner.fallbacks_taken = adaptive_meta.get(
-            "fallbacks_taken", 0
+        partitioner = AdaptiveIGKway.restore(
+            state.partitioner, meta.get("adaptive", {})
         )
         scheduler_meta = meta.get("scheduler", {})
         queue_meta = meta.get("queue", {})
@@ -766,7 +735,6 @@ class StreamSession:
             ),
             checkpoint_every=meta.get("checkpoint_every", 8),
             escalate_after=int(resilience_meta.get("escalate_after", 3)),
-            clock=clock,
         )
         session._started = True
         session.applied_seq = state.applied_seq
@@ -793,14 +761,6 @@ class StreamSession:
         session._consecutive_failures = int(
             resilience_meta.get("consecutive_failures", 0)
         )
-
-        # Bootstrap the cut accumulator before replaying: its hooks are
-        # no-ops until the first cut read, so a lazy bootstrap would let
-        # the first replayed window's arc deltas slip past the cost
-        # model — replayed windows must charge exactly what the
-        # originals did.  (The bootstrap scan itself is uncharged, in
-        # the live path and here alike.)
-        session.partitioner.cut_size()
 
         # Replay the recorded flush windows without re-journaling them.
         # A flush record's excluded seqs were quarantined (or
@@ -897,8 +857,6 @@ class StreamSession:
     # -- internals -----------------------------------------------------------------
 
     def _clock(self) -> float:
-        if self._clock_fn is not None:
-            return self._clock_fn()
         return ledger_cycles(self.partitioner.ctx.ledger)
 
     def _require_started(self) -> None:

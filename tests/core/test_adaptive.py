@@ -286,27 +286,30 @@ class TestTriggerBoundaries:
 
 
 class TestFromInner:
-    def test_wraps_restored_partitioner(self, small_circuit):
-        from repro.core.igkway import IGKway
+    """``AdaptiveIGKway.restore`` wraps a restored inner partitioner."""
 
-        inner = IGKway(small_circuit, PartitionConfig(k=2, seed=2))
-        inner.full_partition()
-        adaptive = AdaptiveIGKway.from_inner(inner, batch_threshold=0.2)
-        assert adaptive.inner is inner
-        assert adaptive.batch_threshold == 0.2
-        assert adaptive.modifiers_since_full == 0
-        report = adaptive.apply(ModifierBatch([EdgeInsert(0, 250)]))
+    def test_wraps_restored_partitioner(self, adaptive):
+        adaptive.apply(ModifierBatch([EdgeInsert(0, 250)]))
+        adaptive.batch_threshold = 0.2
+        meta = adaptive.as_meta()
+        restored = AdaptiveIGKway.restore(adaptive.inner, meta)
+        assert restored.inner is adaptive.inner
+        assert restored.as_meta() == meta
+        assert restored.batch_threshold == 0.2
+        assert restored.modifiers_since_full == 1
+        report = restored.apply(ModifierBatch([EdgeInsert(0, 251)]))
         assert not report.used_fallback
 
-    def test_invalid_thresholds_rejected(self, small_circuit):
-        from repro.core.igkway import IGKway
+    def test_missing_keys_take_constructor_defaults(self, adaptive):
+        restored = AdaptiveIGKway.restore(adaptive.inner, {})
+        fresh = AdaptiveIGKway(None, adaptive.config)
+        assert restored.as_meta() == fresh.as_meta()
 
-        inner = IGKway(small_circuit, PartitionConfig(k=2, seed=2))
-        inner.full_partition()
+    def test_invalid_thresholds_rejected(self, adaptive):
         with pytest.raises(ValueError):
-            AdaptiveIGKway.from_inner(inner, drift_threshold=1.0)
+            AdaptiveIGKway.restore(adaptive.inner, {"drift_threshold": 1.0})
         with pytest.raises(ValueError):
-            AdaptiveIGKway.from_inner(inner, volume_threshold=0.0)
+            AdaptiveIGKway.restore(adaptive.inner, {"volume_threshold": 0.0})
 
 
 def _digest(labels):
@@ -337,7 +340,7 @@ class TestFullRebuild:
         for batch in trace[:6]:
             adaptive.apply(batch)
 
-        report = adaptive.full_rebuild()
+        report = adaptive.repartition(compact=True)
         graph, ledger = adaptive.graph, adaptive.ctx.ledger.total
         assert (report.cut, report.balanced, report.num_levels) == (72, True, 1)
         assert report.seconds == 0.034801898333333324
@@ -358,9 +361,12 @@ class TestFullRebuild:
         assert nxt.iteration.cut == 85
         assert nxt.iteration.modification_seconds == 7.880000000000186e-05
         assert nxt.iteration.partitioning_seconds == 0.0009694882154882345
+        # The rebuild installs a live cut accumulator, so the next batch
+        # pays its cut-update kernel whether or not the cut was read.
+        assert nxt.iteration.cut_maintenance_seconds == 6.413333333326939e-06
         assert (ledger.warp_instructions, ledger.transactions) == (
-            629822,
-            85723,
+            630158,
+            85727,
         )
         assert _digest(adaptive.partition) == (
             "820c19755dca1e2af5b9d357e8bb6aa0ae9d3fa30e33c7d55a00234782e386ba"

@@ -57,7 +57,7 @@ class TestIncrementalMatchesScan:
             )
             acc = state.cut_acc
             assert np.array_equal(
-                acc.arc_matrix(state.partition),
+                acc.arc_matrix(),
                 arc_matrix_bucketlist(graph, state.partition, k),
             )
 
@@ -74,7 +74,7 @@ class TestIncrementalMatchesScan:
             assert np.array_equal(matrix, matrix.T)
             # Row sums == per-partition (internal + external) incident
             # weight from the arc matrix's real block.
-            ext = ig.state.cut_acc.arc_matrix(ig.state.partition)
+            ext = ig.state.cut_acc.arc_matrix()
             real = ext[:k, :k]
             off = matrix - np.diag(np.diagonal(matrix))
             assert np.array_equal(
@@ -98,14 +98,12 @@ class TestIncrementalMatchesScan:
         ig = _build(mode)
         trace = _trace(ig, iterations=2, seed=9)
         ig.apply(trace[0])
-        before = ig.state.cut_acc.arc_matrix(ig.state.partition)
+        before = ig.state.cut_acc.arc_matrix()
         with pytest.raises(ModifierError):
             # Validates at expansion (duplicate edge), after a pending
             # good modifier: the transaction must leave no trace.
             ig.apply(ModifierBatch([EdgeInsert(0, 1), EdgeInsert(0, 1)]))
-        assert np.array_equal(
-            ig.state.cut_acc.arc_matrix(ig.state.partition), before
-        )
+        assert np.array_equal(ig.state.cut_acc.arc_matrix(), before)
         verify_cut(ig.graph, ig.state)
         report = ig.apply(trace[1])
         assert report.cut == cut_size_bucketlist(
@@ -116,9 +114,8 @@ class TestIncrementalMatchesScan:
         self, mode
     ):
         ig = _build(mode)
-        ig.cut_size()  # bootstrap the accumulator
         state = ig.state
-        before = state.cut_acc.arc_matrix(state.partition)
+        before = state.cut_acc.arc_matrix()
         u = int(ig.graph.active_vertices()[0])
         with pytest.raises(RuntimeError, match="boom"):
             with transaction(ig.graph, state, ctx=ig.ctx):
@@ -130,9 +127,7 @@ class TestIncrementalMatchesScan:
                     (state.partition[movers] + 1) % ig.config.k,
                 )
                 raise RuntimeError("boom")
-        assert np.array_equal(
-            state.cut_acc.arc_matrix(state.partition), before
-        )
+        assert np.array_equal(state.cut_acc.arc_matrix(), before)
         verify_cut(ig.graph, state)
 
     def test_checkpoint_recover_rebootstraps(self, mode, tmp_path):
@@ -143,9 +138,15 @@ class TestIncrementalMatchesScan:
         path = tmp_path / "ck.npz"
         save_partitioner(ig, path)
         recovered = load_partitioner(path)
-        # Derived state is not serialized; the first read re-bootstraps.
-        assert recovered.state.cut_acc is None or (
-            not recovered.state.cut_acc.active
+        # Derived state is not serialized; loading bootstraps a live
+        # accumulator from the loaded graph.
+        acc = recovered.state.cut_acc
+        assert acc is not None and acc.graph is recovered.graph
+        assert np.array_equal(
+            acc.arc_matrix(),
+            arc_matrix_bucketlist(
+                recovered.graph, recovered.state.partition, acc.k
+            ),
         )
         assert recovered.cut_size() == cut_size_bucketlist(
             recovered.graph, recovered.state.partition
@@ -159,25 +160,15 @@ class TestIncrementalMatchesScan:
 class TestVerifyCut:
     def test_detects_matrix_corruption(self):
         ig = _build("vector")
-        ig.cut_size()
         ig.state.cut_acc._flat[1] += 1
         with pytest.raises(PartitionError, match="drifted"):
             verify_cut(ig.graph, ig.state)
-
-    def test_unbootstrapped_accumulator_trivially_passes(self):
-        ig = _build("vector")
-        # Simulate a recovered session whose derived state was dropped.
-        ig.state.cut_acc.invalidate()
-        assert not ig.state.cut_acc.active
-        assert verify_cut(ig.graph, ig.state) == cut_size_bucketlist(
-            ig.graph, ig.state.partition
-        )
 
 
 class TestCostModel:
     def test_cut_maintenance_charged_proportionally(self):
         ig = _build("vector")
-        ig.cut_size()  # bootstrap outside any batch: uncharged
+        # The bootstrap at full_partition is uncharged.
         assert ig.ctx.ledger.seconds("cut_maintenance") == 0.0
         report = ig.apply(next(iter(_trace(ig, iterations=1, seed=2))))
         assert report.cut_maintenance_seconds > 0.0
@@ -187,7 +178,6 @@ class TestCostModel:
 
     def test_touched_arcs_drained_once(self):
         ig = _build("vector")
-        ig.cut_size()
         acc = ig.state.cut_acc
         u = int(ig.graph.active_vertices()[0])
         ig.state.move(u, (int(ig.state.partition[u]) + 1) % ig.config.k)

@@ -343,8 +343,7 @@ class TestArcChanges:
         csr = self._weighted_graph()
         graph = BucketListGraph.from_csr(csr, gamma=0)
         partition = np.arange(graph.capacity, dtype=np.int64) % self.K
-        acc = CutAccumulator(graph, self.K)
-        acc.ensure(partition)
+        acc = CutAccumulator(graph, self.K, partition)
         ops = expand_modifiers(graph, self.BATCH)
         start_of_0 = graph.bucket_start[0]
         arcs = apply_ops(GpuContext(), graph, ops, mode)
@@ -352,7 +351,7 @@ class TestArcChanges:
         assert graph.edge_weight(36, 37) == 9
         acc.fold_arcs(partition, arcs.added, arcs.removed)
         assert np.array_equal(
-            acc.arc_matrix(partition),
+            acc.arc_matrix(),
             arc_matrix_bucketlist(graph, partition, self.K),
         )
 

@@ -1,4 +1,7 @@
-"""Quarantine lifecycle and the session's graceful-degradation path."""
+"""Quarantine lifecycle, the session's graceful-degradation path, and
+the ledger a recovery replays after a re-partition."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from repro.graph.generators import circuit_graph
 from repro.stream import StreamSession
 from repro.stream.journal import StreamJournal
 from repro.stream.quarantine import Quarantine
-from repro.stream.scheduler import SchedulerConfig
+from repro.stream.scheduler import SchedulerConfig, ledger_cycles
 from repro.utils import FaultInjector
 
 
@@ -204,6 +207,76 @@ class TestSessionDegradation:
         assert metrics["escalations"] >= 1
         assert session.partitioner.fallbacks_taken >= 1  # the rebuild
         session.partitioner.validate()
+
+
+class TestRecoveryLedger:
+    """A replayed window charges the ledger cycles the live one did,
+    also when it is the first window after a re-partition."""
+
+    def test_replay_after_fallback_charges_live_cycles(self, tmp_path):
+        session = make_session(
+            tmp_path, scheduler=SchedulerConfig(target_batch_size=200)
+        )
+        graph = session.partitioner.graph
+        rng = np.random.default_rng(6)
+        taken = set()
+        # 40 modifiers >= batch_threshold (10%) of the 300 vertices.
+        session.submit_many(fresh_edges(graph, rng, 40, taken))
+        assert session.flush().used_fallback
+        session.checkpoint()
+        ledger = session.partitioner.ctx.ledger
+        at_checkpoint = ledger_cycles(ledger)
+        session.submit_many(fresh_edges(graph, rng, 10, taken))
+        assert not session.flush().used_fallback
+        live = ledger_cycles(ledger) - at_checkpoint
+        session.journal.close()  # crash: no close(), no final checkpoint
+
+        recovered = StreamSession.recover(tmp_path / "journal")
+        assert np.array_equal(recovered.partition, session.partition)
+        assert math.isclose(
+            ledger_cycles(recovered.partitioner.ctx.ledger),
+            live,
+            rel_tol=1e-9,
+        )
+        recovered.close()
+
+    def test_replay_after_escalation_charges_live_cycles(self, tmp_path):
+        # Driven like test_repeated_failures_escalate_to_rebuild; the
+        # long backoff keeps quarantine retries (and the checkpoints
+        # they write) out of the window after the rebuild.
+        session = make_session(
+            tmp_path, escalate_after=2, quarantine_backoff_cycles=1e12
+        )
+        ledger = session.partitioner.ctx.ledger
+        marks = []
+        session.on_checkpoint = lambda: marks.append(ledger_cycles(ledger))
+        injector = FaultInjector(seed=5)
+        rng = np.random.default_rng(6)
+        graph = session.partitioner.graph
+        taken = set()
+        for _ in range(2):
+            for mod in fresh_edges(graph, rng, 9, taken):
+                session.submit(mod)
+            session.submit(injector.dead_vertex_op(graph))
+            session.drain()
+        assert session.metrics()["escalations"] == 1
+        graph = session.partitioner.graph  # the rebuild's fresh pool
+        checkpoints = len(marks)
+        for mod in fresh_edges(graph, rng, 10, taken):
+            session.submit(mod)
+        session.drain()
+        assert len(marks) == checkpoints  # the window is journal-only
+        live = ledger_cycles(ledger) - marks[-1]
+        session.journal.close()  # crash: no close(), no final checkpoint
+
+        recovered = StreamSession.recover(tmp_path / "journal")
+        assert np.array_equal(recovered.partition, session.partition)
+        assert math.isclose(
+            ledger_cycles(recovered.partitioner.ctx.ledger),
+            live,
+            rel_tol=1e-9,
+        )
+        recovered.close()
 
 
 class TestDegradedRecovery:
