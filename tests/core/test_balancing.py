@@ -20,7 +20,7 @@ from repro.partition import UNASSIGNED, PartitionState
 def make_state(graph: BucketListGraph, partition, k=2) -> PartitionState:
     full = np.full(graph.capacity, UNASSIGNED, dtype=np.int64)
     full[: len(partition)] = partition
-    return PartitionState(full, graph.vwgt, k=k, epsilon=0.03)
+    return PartitionState(graph, full, k=k, epsilon=0.03)
 
 
 @pytest.fixture(params=["warp", "vector"])

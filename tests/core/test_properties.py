@@ -18,7 +18,7 @@ def _fresh(seed, n=80, k=2):
     graph = BucketListGraph.from_csr(csr)
     partition = np.full(graph.capacity, UNASSIGNED, dtype=np.int64)
     partition[:n] = np.arange(n) % k
-    state = PartitionState(partition, graph.vwgt, k=k, epsilon=0.05)
+    state = PartitionState(graph, partition, k=k, epsilon=0.05)
     return GpuContext(), graph, state
 
 

@@ -13,7 +13,7 @@ from repro.partition import UNASSIGNED, PartitionState, cut_size_bucketlist
 def make_state(graph, partition, k=2, epsilon=0.03):
     full = np.full(graph.capacity, UNASSIGNED, dtype=np.int64)
     full[: len(partition)] = partition
-    return PartitionState(full, graph.vwgt, k=k, epsilon=epsilon)
+    return PartitionState(graph, full, k=k, epsilon=epsilon)
 
 
 def park(state, vertices):

@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.graph import BucketListGraph, CSRGraph
 from repro.partition import UNASSIGNED, PartitionState
 from repro.utils import PartitionError
 
 
+def _state(partition, vwgt, k=2):
+    """A state over an edgeless graph whose vertex weights are ``vwgt``."""
+    csr = CSRGraph.from_edges(
+        len(vwgt), np.empty((0, 2)), vertex_weights=np.asarray(vwgt)
+    )
+    graph = BucketListGraph.from_csr(csr, capacity_factor=1.0)
+    return PartitionState(graph, np.asarray(partition), k=k, epsilon=0.03)
+
+
 @pytest.fixture
 def state():
-    partition = np.array([0, 0, 1, 1, UNASSIGNED])
-    vwgt = np.array([1, 2, 3, 4, 5])
-    return PartitionState(partition, vwgt, k=2, epsilon=0.03)
+    return _state([0, 0, 1, 1, UNASSIGNED], [1, 2, 3, 4, 5])
 
 
 class TestConstruction:
@@ -26,12 +34,10 @@ class TestConstruction:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(PartitionError):
-            PartitionState(np.zeros(3), np.ones(4), k=2, epsilon=0.03)
+            _state(np.zeros(3), np.ones(4))
 
     def test_pseudo_weight_initialized(self):
-        state = PartitionState(
-            np.array([0, 2, 2]), np.array([1, 5, 7]), k=2, epsilon=0.03
-        )
+        state = _state([0, 2, 2], [1, 5, 7])
         assert state.pseudo_weight == 12
 
 
@@ -92,16 +98,11 @@ class TestWeightsAndBalance:
         assert state.w_pmax() < before
 
     def test_balanced(self):
-        state = PartitionState(
-            np.array([0, 1]), np.array([1, 1]), k=2, epsilon=0.03
-        )
+        state = _state([0, 1], [1, 1])
         assert state.balanced()
 
     def test_unbalanced(self):
-        state = PartitionState(
-            np.array([0, 0, 0, 0, 0, 1]), np.ones(6, dtype=int), k=2,
-            epsilon=0.03,
-        )
+        state = _state([0, 0, 0, 0, 0, 1], np.ones(6, dtype=int))
         # W_pmax = ceil(1.03 * 6 / 2) = 4 < 5.
         assert not state.balanced()
 
