@@ -24,7 +24,7 @@ started by the perf gate (``tools/perf_gate.py``) and the chaos gate
 * **Interprocedural effect invariants** (:mod:`repro.analysis.effects`)
   — a whole-repo pass that builds a project-wide call graph, infers
   per-function effect signatures to a fixed point, and checks the
-  contracts no single-file rule can see: WAL/journal appends dominate
+  contracts no single-file rule can see: journal appends dominate
   client acks in the serve ops, checkpoint/digest serialization never
   reads the derived ``CutAccumulator``, device-array writes are covered
   by priced ``ledger.kernel`` scopes on every entry path, the bulk

@@ -3,7 +3,7 @@
 The per-module AST rules in :mod:`repro.analysis.rules` enforce *local*
 contracts — a loop in a hot-path file, an unseeded RNG call.  The
 invariants the engine actually rests on are *cross-function*: the serve
-layer must append to its WAL before acknowledging a request (PR 8), the
+layer must journal a request before acknowledging it, the
 state digest must never observe derived :class:`CutAccumulator` state
 (PR 7), a device-array write must be paid for by a priced kernel scope
 somewhere up its call chain, and the bulk array kernels must stay
@@ -18,8 +18,8 @@ This subpackage closes the gap in three layers:
   folded through higher-order call sites.
 * :mod:`repro.analysis.effects.infer` — per-function **effect
   signatures** extracted from the AST (``ledger.charge``,
-  ``device.write``, ``wal.append``, ``journal.append``, ``fsync``,
-  ``socket.send``, ``ack``, ``rng``, ``cutacc.read``,
+  ``device.write``, ``journal.append``, ``fsync``, ``socket.send``,
+  ``ack``, ``rng``, ``cutacc.read``,
   ``await.under-lock``) and propagated through the call graph to a
   fixed point, preserving intra-procedural event order so dominance
   ("append before ack") stays checkable.

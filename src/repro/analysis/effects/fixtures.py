@@ -1,7 +1,7 @@
 """Seeded-bad (and matching good) fixture trees for the invariants.
 
 Each invariant in the catalog has a miniature source tree that
-violates it — a WAL appended *after* the ack, a digest that reads
+violates it — a checkpoint written *after* the ack, a digest that reads
 ``CutAccumulator`` state, an unpriced device write — plus a corrected
 twin.  ``run_selftest`` materializes every pair into a temp directory
 and asserts the invariant fires on the bad tree and stays silent on
@@ -34,7 +34,7 @@ FIXTURES: Dict[str, Tuple[Dict[str, str], Dict[str, str]]] = {
             class BadServer:
                 def _op_create(self, request):
                     response = ok_response(ok=True)
-                    self.wal.append_create("t", "s", {})
+                    self.journal.write_checkpoint(self.partitioner, {})
                     return response
             """,
         },
@@ -45,7 +45,7 @@ FIXTURES: Dict[str, Tuple[Dict[str, str], Dict[str, str]]] = {
 
             class GoodServer:
                 def _op_create(self, request):
-                    self.wal.append_create("t", "s", {})
+                    self.journal.write_checkpoint(self.partitioner, {})
                     return ok_response(ok=True)
             """,
         },

@@ -14,7 +14,6 @@ catalog):
                      the same store when it is *not* lexically inside a
                      ``with ledger.kernel(...)`` block; discharged when a
                      caller forwards it from inside one
-``wal.append``       ``append_create``/``append_settle`` (the serve WAL)
 ``journal.append``   ``log_modifiers``/``log_flush``/``log_dead_letter``/
                      ``write_checkpoint`` (the stream journal)
 ``fsync``            ``os.fsync``
@@ -34,8 +33,8 @@ catalog):
 Propagation folds callee signatures into callers at each call site to a
 fixed point.  Signatures keep the *intra-procedural event order* —
 direct effects and call sites interleaved as they appear in the source
-— so invariants can check dominance ("the first ``wal.append`` precedes
-the first ``ack``") without a path-sensitive analysis.  The one
+— so invariants can check dominance ("the first ``journal.append``
+precedes the first ``ack``") without a path-sensitive analysis.  The one
 non-monotone-looking transform, dropping ``device.write.uncharged`` at
 kernel-scoped call sites, is a join over a per-site constant filter and
 preserves termination.
@@ -73,9 +72,6 @@ DEVICE_ARRAYS: frozenset = frozenset(
     }
 )
 
-WAL_APPEND_METHODS: frozenset = frozenset(
-    {"append_create", "append_settle"}
-)
 JOURNAL_APPEND_METHODS: frozenset = frozenset(
     {"log_modifiers", "log_flush", "log_dead_letter", "write_checkpoint"}
 )
@@ -224,8 +220,6 @@ class _EventExtractor:
             attr = func.attr
             if attr in CHARGE_METHODS:
                 self._emit("ledger.charge", line, attr)
-            if attr in WAL_APPEND_METHODS:
-                self._emit("wal.append", line, attr)
             if attr in JOURNAL_APPEND_METHODS:
                 self._emit("journal.append", line, attr)
             if dotted == "os.fsync":

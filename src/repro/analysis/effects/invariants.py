@@ -10,11 +10,11 @@ rule pack, each naming the qualified symbol of the function it flags.
 The catalog (``INVARIANTS``):
 
 ``wal-after-ack``
-    In serve-layer functions that both journal (``wal.append`` /
-    ``journal.append``) and acknowledge (``ack`` / ``socket.send`` /
-    ``session.construct``), the first durable append must precede the
-    first acknowledgement/state-construction in event order.  This is
-    the PR 8 WAL-append-before-ack contract.
+    In serve-layer functions that both journal (``journal.append``, the
+    session journal being the write-ahead log) and acknowledge
+    (``ack`` / ``session.construct``), the first durable append must
+    precede the first acknowledgement/state-construction in event
+    order: the write-ahead-before-ack contract.
 ``digest-reaches-cutacc``
     No call path from ``state_digest``/``save_partitioner``/
     ``write_checkpoint`` may reach derived ``CutAccumulator`` state
@@ -87,11 +87,11 @@ INVARIANTS: Tuple[Invariant, ...] = (
         id="wal-after-ack",
         kind="order",
         description=(
-            "serve ops must append to the WAL/journal before building "
+            "serve ops must append to the journal before building "
             "the ack or constructing session state"
         ),
         module_pattern=r"(^|/)serve/",
-        first=frozenset({"wal.append", "journal.append"}),
+        first=frozenset({"journal.append"}),
         then=frozenset({"ack", "session.construct"}),
     ),
     Invariant(

@@ -3,7 +3,7 @@
 The engine tracer (:mod:`repro.obs.tracer`) attributes ledger cycles
 exactly, but only *inside one engine*: a request entering
 :class:`~repro.serve.client.ServeClient` crosses the framed protocol,
-the worker pool, WAL writes, and possibly a failover with no identity
+the worker pool, journal writes, and possibly a failover with no identity
 tying those hops together.  This module adds the two pieces that close
 the gap:
 
@@ -15,8 +15,8 @@ the gap:
   parent reference resolves inside one exported JSONL file.  Requests
   carry a ``trace`` field on the wire (:func:`wire_trace` /
   :func:`parse_wire_trace`); every event the request causes — the
-  client span, the server op span, the worker execute span, WAL
-  appends, engine spans and kernel aggregates — is stamped with the
+  client span, the server op span, the worker execute span, journal
+  writes, engine spans and kernel aggregates — is stamped with the
   same deterministic ``trace_id``, so one trace file reconstructs
   client → server → worker → kernel causality, including retry
   attempts and failover replay.

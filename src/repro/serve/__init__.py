@@ -5,12 +5,13 @@ The serving layer hosts many tenants' journaled
 server (framed JSON over TCP, Prometheus over HTTP), multiplexed over a
 shared pool of simulated devices with per-tenant admission control,
 global load shedding, and per-tenant metric labels.  The layer is
-crash-recoverable: a per-tenant serve WAL re-materializes every session
-after a process kill, and a worker supervisor fails sessions over to
-surviving devices when one dies.  See ``ARCHITECTURE.md`` §12 for the
-serving design and §14 for durability & failover;
-``tools/serve_gate.py`` holds the bit-identity, attribution, and
-crash-convergence invariants the layer must keep.
+crash-recoverable: each session's own journal checkpoint, which also
+carries its creation index, origin trace and settled device cycles,
+re-materializes it after a process kill, and a worker supervisor fails
+sessions over to surviving devices when one dies.  See
+``ARCHITECTURE.md`` §12 for the serving design and §14 for durability
+& failover; ``tools/serve_gate.py`` holds the bit-identity,
+attribution, and crash-convergence invariants the layer must keep.
 """
 
 from repro.serve.client import ServeClient
@@ -39,7 +40,6 @@ from repro.serve.server import (
 )
 from repro.serve.shedding import LoadShedder, ShedPolicy
 from repro.serve.supervision import WorkerSupervisor
-from repro.serve.wal import ManifestState, ServeWAL
 
 __all__ = [
     "AMBIGUOUS_CODES",
@@ -49,10 +49,8 @@ __all__ = [
     "RETRYABLE_CODES",
     "DeviceWorker",
     "LoadShedder",
-    "ManifestState",
     "PartitionServer",
     "ServeClient",
-    "ServeWAL",
     "ServerConfig",
     "ServerThread",
     "SessionEntry",

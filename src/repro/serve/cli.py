@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--recover", action="store_true",
         help=(
-            "re-materialize every session recorded in --data-dir's "
-            "serve WAL before accepting requests (disaster recovery)"
+            "re-materialize every session --data-dir holds a "
+            "checkpoint of before accepting requests (disaster recovery)"
         ),
     )
     parser.add_argument(
@@ -113,7 +113,7 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
     if args.recover and args.data_dir is None:
         raise SystemExit(
             "repro-serve: --recover needs --data-dir (a temporary "
-            "directory has no WAL to recover from)"
+            "directory has no checkpoints to recover from)"
         )
     return ServerConfig(
         host=args.host,

@@ -14,8 +14,12 @@ Lifecycle::
                 ▼  │
               evicted (journal only, no device state)
 
-Every session is journaled under ``data_dir/<tenant>/<session>/``, so
-**evict** is cheap: :meth:`StreamSession.suspend` checkpoints (including
+Every session is journaled under ``data_dir/<tenant>/<session>/``, and
+that directory's checkpoint is the session's only durable record: it
+carries what the registry must know of the session after a crash (its
+creation index, origin trace and settled lifetime cycles), so a crash
+between two writes can never leave the two disagreeing.  **Evict** is
+cheap: :meth:`StreamSession.suspend` checkpoints (including
 the logged-but-unflushed queue suffix) and drops the in-memory engine
 state; a later **attach** — or any op routed at an evicted session —
 recovers it bit-identically via :meth:`StreamSession.recover`.  Idle
@@ -37,6 +41,8 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -50,7 +56,7 @@ from repro.graph.generators import (
     random_graph,
 )
 from repro.partition.config import PartitionConfig
-from repro.stream.journal import StreamJournal
+from repro.stream.journal import StreamJournal, fsync_directory
 from repro.stream.scheduler import SchedulerConfig, ledger_cycles
 from repro.stream.session import StreamSession
 from repro.utils.errors import ServeError
@@ -60,7 +66,6 @@ from repro.serve.protocol import (
     E_UNKNOWN_SESSION,
     E_WORKER_FAILED,
 )
-from repro.serve.wal import ServeWAL
 
 #: Graph generators a ``create`` request may name.  Closed set: the
 #: wire protocol must not become an arbitrary-code front door.
@@ -70,6 +75,12 @@ GRAPH_GENERATORS = {
     "mesh2d": mesh_graph_2d,
     "random": random_graph,
 }
+
+
+#: A tenant or session name: one path component under ``data_dir``,
+#: 1-64 characters of ``[A-Za-z0-9._-]`` that do not start with ``.``
+#: (so never ``.`` or ``..``).
+_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,63}")
 
 
 def build_graph(spec: dict):
@@ -169,6 +180,9 @@ class SessionEntry:
     name: str
     journal_dir: Path
     worker: DeviceWorker
+    #: Registry creation counter at ``create``; recovery places
+    #: sessions in this order, reproducing round-robin placement.
+    index: int
     session: Optional[StreamSession] = None
     #: Registry op-counter value of the last operation that touched
     #: this session (the idle clock; no wall time).
@@ -178,8 +192,8 @@ class SessionEntry:
     #: charges only its delta.
     charged_cycles: float = 0.0
     #: Cumulative cycles charged across every engine incarnation (the
-    #: per-incarnation ledger resets on attach/recover).  This is the
-    #: figure the serve WAL settles durably at each checkpoint.
+    #: per-incarnation ledger resets on attach/recover).  Each
+    #: checkpoint saves this figure, as of its cursor.
     lifetime_cycles: float = 0.0
     #: Times this entry was rebuilt from its journal after state loss
     #: (server restart or worker death) — *not* counting plain
@@ -190,9 +204,9 @@ class SessionEntry:
     quarantined: int = 0
     dead_lettered: int = 0
     #: Trace id of the ``create`` request that made this session
-    #: (``repro.obs.distrib``).  Persisted in the serve WAL manifest,
-    #: so recovery and failover replay spans re-attach to the trace
-    #: that originated the session — across process restarts.
+    #: (``repro.obs.distrib``).  Saved with every checkpoint, so
+    #: recovery and failover replay spans re-attach to the trace that
+    #: originated the session — across process restarts.
     origin_trace: Optional[str] = None
 
     @property
@@ -220,7 +234,6 @@ class SessionRegistry:
         self.data_dir = Path(data_dir)
         self.workers = [DeviceWorker(i) for i in range(workers)]
         self.idle_evict_after_ops = idle_evict_after_ops
-        self.wal = ServeWAL(self.data_dir)
         self._entries: Dict[Tuple[str, str], SessionEntry] = {}
         self._op_counter = 0
         self._created = 0
@@ -293,76 +306,69 @@ class SessionRegistry:
         a remote producer gets the typed ``backpressure`` response and
         retries, instead of the server silently flushing on its behalf
         (the library's single-process ``"block"`` default).
+
+        ``start()`` writes the session's first checkpoint, its durable
+        record, before this returns (and so before the ack).  A crash
+        earlier leaves no checkpoint: the session is absent after
+        recovery, and the client, which never saw the ack, retries.
         """
+        for kind, value in (("tenant", tenant), ("session", name)):
+            if not isinstance(value, str) or not _NAME.fullmatch(value):
+                raise ServeError(
+                    f"{kind} name {value!r} must be 1-64 characters "
+                    "of [A-Za-z0-9._-] not starting with '.'",
+                    code=E_BAD_REQUEST,
+                )
         key = (tenant, name)
         if key in self._entries:
             raise ServeError(
                 f"tenant {tenant!r} already has a session {name!r}",
                 code=E_SESSION_EXISTS,
             )
-        params = {
-            "graph": graph_spec,
-            "k": k,
-            "seed": seed,
-            "target_batch_size": target_batch_size,
-            "queue_capacity": queue_capacity,
-            "policy": policy,
-        }
-        csr = build_graph(graph_spec)  # validate before journaling
+        csr = build_graph(graph_spec)  # validate before touching disk
+        worker = self._assign_worker(self._created)
         journal_dir = self.data_dir / tenant / name
-        # WAL before state: the manifest line must be durable before
-        # the session exists, so a crash at any later point still
-        # recovers the session.
-        self.wal.append_create(tenant, name, params, trace=origin_trace)
-        session = self._construct_session(params, journal_dir, csr=csr)
-        worker = self._assign_worker()
-        self._created += 1
+        new_tenant = not journal_dir.parent.exists()
+        # repro-lint: allow[wal-after-ack] a create's durable record is its session's first checkpoint, so the session exists before it; start() writes it before the ack
+        session = StreamSession(
+            csr,
+            PartitionConfig(k=k, seed=seed),
+            journal_dir=journal_dir,
+            queue_capacity=queue_capacity,
+            policy=policy,
+            scheduler=(
+                SchedulerConfig(target_batch_size=target_batch_size)
+                if target_batch_size is not None
+                else None
+            ),
+        )
         entry = SessionEntry(
             tenant=tenant,
             name=name,
             journal_dir=journal_dir,
             worker=worker,
+            index=self._created,
             session=session,
             origin_trace=origin_trace,
         )
+        self._created += 1
         self._bind(entry)
-        # start() writes the initial checkpoint, which (via the bound
-        # hook) settles the initial partitioning cost durably.
         session.start()
+        # The checkpoint's own entry is durable; make the session
+        # directory's entry, and a new tenant directory's, durable too.
+        fsync_directory(journal_dir.parent)
+        if new_tenant:
+            fsync_directory(self.data_dir)
         self._entries[key] = entry
         self.touch(entry)
         return entry
 
-    def _construct_session(
-        self, params: dict, journal_dir: Path, csr=None
-    ) -> StreamSession:
-        """Build (but do not start) a session from manifest params."""
-        if csr is None:
-            csr = build_graph(params.get("graph", {}))
-        target_batch_size = params.get("target_batch_size")
-        scheduler = (
-            SchedulerConfig(target_batch_size=target_batch_size)
-            if target_batch_size is not None
-            else None
-        )
-        return StreamSession(
-            csr,
-            PartitionConfig(
-                k=int(params.get("k", 2)),
-                seed=int(params.get("seed", 0)),
-            ),
-            journal_dir=journal_dir,
-            queue_capacity=int(params.get("queue_capacity", 4096)),
-            policy=params.get("policy", "reject"),
-            scheduler=scheduler,
-        )
-
-    def _assign_worker(self) -> DeviceWorker:
-        """Round-robin over *alive* workers, anchored at the creation
-        counter — with a fully healthy pool this reproduces the
+    def _assign_worker(self, index: int) -> DeviceWorker:
+        """Round-robin over *alive* workers, anchored at creation index
+        ``index`` — with a fully healthy pool this reproduces the
         original assignment bit-identically during recovery."""
         count = len(self.workers)
-        start = self._created % count
+        start = index % count
         for offset in range(count):
             worker = self.workers[(start + offset) % count]
             if worker.alive:
@@ -372,8 +378,8 @@ class SessionRegistry:
         )
 
     def _bind(self, entry: SessionEntry) -> None:
-        """Hook the entry's live session so every durable checkpoint
-        also settles its lifetime cycles into the serve WAL.
+        """Hook the entry's live session so every checkpoint saves what
+        :meth:`recover_entries` needs of the entry.
 
         The hook fires *inside* ``StreamSession.checkpoint`` — the only
         point where the cycle figure and the checkpoint cursor are
@@ -381,13 +387,11 @@ class SessionRegistry:
         fire mid-drain, with more flushes landing after it in the same
         serve op).
         """
-
-        def settle_durably() -> None:
-            self.wal.append_settle(
-                entry.tenant, entry.name, self._lifetime_now(entry)
-            )
-
-        entry.session.on_checkpoint = settle_durably
+        entry.session.on_checkpoint = lambda: {
+            "index": entry.index,
+            "trace": entry.origin_trace,
+            "cycles": self._lifetime_now(entry),
+        }
 
     def _lifetime_now(self, entry: SessionEntry) -> float:
         """Lifetime cycles including the not-yet-settled ledger delta."""
@@ -413,14 +417,18 @@ class SessionRegistry:
         entry.charged_cycles = 0.0
         self._bind(entry)
 
+    def _suspend(self, entry: SessionEntry) -> None:
+        """Settle, checkpoint and drop a live session's engine state."""
+        self.settle_cycles(entry)
+        entry.session.suspend()
+        entry.session = None
+        entry.evictions += 1
+
     def evict(self, tenant: str, name: str) -> SessionEntry:
         """Checkpoint-and-drop a live session (no-op when evicted)."""
         entry = self.get(tenant, name)
         if entry.live:
-            self.settle_cycles(entry)
-            entry.session.suspend()
-            entry.session = None
-            entry.evictions += 1
+            self._suspend(entry)
         self.touch(entry)
         return entry
 
@@ -433,10 +441,7 @@ class SessionRegistry:
         for key in sorted(self._entries):
             entry = self._entries[key]
             if entry.live and entry.last_active_op <= horizon:
-                self.settle_cycles(entry)
-                entry.session.suspend()
-                entry.session = None
-                entry.evictions += 1
+                self._suspend(entry)
                 evicted.append(entry)
         return evicted
 
@@ -445,61 +450,63 @@ class SessionRegistry:
         for key in sorted(self._entries):
             entry = self._entries[key]
             if entry.live:
-                self.settle_cycles(entry)
-                entry.session.suspend()
-                entry.session = None
-                entry.evictions += 1
-        self.wal.compact()
-        self.wal.close()
+                self._suspend(entry)
 
     # -- crash recovery & failover --------------------------------------------------
 
     def recover_entries(self) -> List[SessionEntry]:
-        """Re-materialize every manifest session after a process crash.
+        """Revive every session ``data_dir`` holds a checkpoint of,
+        after a process crash.
 
-        Sessions come back in manifest (creation) order so the
-        round-robin worker assignment matches the crashed process.
-        Durably settled cycles are restored into worker/tenant
-        attribution first; the deterministic journal replay then
-        charges exactly the cycles the settlement does not cover, so
-        recovered totals equal the uncrashed run's.
-
-        A manifest entry whose journal never reached its first
-        checkpoint (crash between WAL append and ``start()``) is
-        re-created from its recorded parameters — the state its
-        never-acked ``create`` would have produced.
+        Each ``<tenant>/<session>`` directory with a checkpoint is
+        recovered from it (:meth:`StreamSession.recover`), and what the
+        registry saved with that checkpoint places it: sessions come
+        back in creation order on the worker their creation index
+        picks, so round-robin placement matches the crashed process,
+        and the creation counter resumes after the largest index.  The
+        lifetime cycles saved with the loaded checkpoint are restored
+        into worker/tenant attribution first; the deterministic journal
+        replay then charges exactly the cycles that figure does not
+        cover, so recovered totals equal the uncrashed run's.  A
+        directory without a checkpoint (a create that crashed before
+        its ack) is skipped.
         """
-        state = self.wal.load()
-        recovered: List[SessionEntry] = []
-        for tenant, name, params in state.creates:
-            key = (tenant, name)
-            if key in self._entries:
+        revived = []
+        for journal_dir in sorted(self.data_dir.glob("*/*")):
+            key = (journal_dir.parent.name, journal_dir.name)
+            if key in self._entries or not journal_dir.is_dir():
                 continue
-            journal_dir = self.data_dir / tenant / name
-            worker = self._assign_worker()
-            self._created += 1
+            if StreamJournal(journal_dir).exists():
+                revived.append((key, StreamSession.recover(journal_dir)))
+        # Checkpoints written without the registry's hook carry no
+        # index: they come last, in name order.
+        revived.sort(
+            key=lambda item: (
+                item[1].host_meta.get("index", math.inf),
+                item[0],
+            )
+        )
+        recovered: List[SessionEntry] = []
+        for (tenant, name), session in revived:
+            host = session.host_meta
+            index = host.get("index", self._created)
             entry = SessionEntry(
                 tenant=tenant,
                 name=name,
-                journal_dir=journal_dir,
-                worker=worker,
-                origin_trace=state.origin_traces.get(key),
+                journal_dir=self.data_dir / tenant / name,
+                worker=self._assign_worker(index),
+                index=index,
+                session=session,
+                lifetime_cycles=host.get("cycles", 0.0),
+                recoveries=1,
+                origin_trace=host.get("trace"),
             )
-            settled = state.settled_cycles.get(key, 0.0)
-            if settled > 0.0:
-                entry.lifetime_cycles = settled
-                worker.charge(tenant, settled)
-            if StreamJournal(journal_dir).exists():
-                self._revive(entry)
-                entry.recoveries += 1
-            else:
-                entry.session = self._construct_session(
-                    params, journal_dir
-                )
-                self._bind(entry)
-                entry.session.start()
+            self._created = max(self._created, index + 1)
+            if entry.lifetime_cycles > 0.0:
+                entry.worker.charge(tenant, entry.lifetime_cycles)
+            self._bind(entry)
             self.settle_cycles(entry)
-            self._entries[key] = entry
+            self._entries[entry.key] = entry
             self.touch(entry)
             recovered.append(entry)
         return recovered
@@ -518,7 +525,7 @@ class SessionRegistry:
 
         Fail-stop: no suspend, no checkpoint — the device that would
         run them is gone.  Only the journal's file handle is released;
-        everything durable (last checkpoint + WAL suffix) stays, and
+        everything durable (last checkpoint + journal suffix) stays, and
         :meth:`restore` rebuilds the exact pre-failure state from it.
         """
         if entry.live:

@@ -163,8 +163,8 @@ class ServerConfig:
         auto_register_tenants: Unknown tenants get an account with
             ``default_quota`` on first use; when False they are
             rejected with ``unknown-tenant``.
-        recover: Re-materialize every session recorded in
-            ``data_dir``'s serve WAL before the listeners open (the
+        recover: Re-materialize every session ``data_dir`` holds a
+            checkpoint of before the listeners open (the
             disaster-recovery path; requires a persistent
             ``data_dir``).
         enable_chaos: Accept the ``kill-worker`` chaos op and honor an
@@ -267,8 +267,8 @@ class PartitionServer:
         #: never wall clock, so seeded runs stay bit-identical).
         self._trace_counter = 0
         #: Set by :meth:`_crash`: the process "died" — shutdown must
-        #: skip every graceful-close step so journals and the serve WAL
-        #: are left exactly as a real crash would.
+        #: skip every graceful-close step so the journals are left
+        #: exactly as a real crash would.
         self.crashed = False
         self._op_in_flight: Optional[str] = None
         self._tcp_server: Optional[asyncio.base_events.Server] = None
@@ -302,7 +302,7 @@ class PartitionServer:
         )
 
     def recover_sessions(self) -> list:
-        """Re-materialize every WAL-recorded session (crash recovery).
+        """Re-materialize every checkpointed session (crash recovery).
 
         Runs before the listeners open, so the first request a client
         sends after restart already sees its sessions.  Each session
@@ -320,7 +320,6 @@ class PartitionServer:
             self._record_replay(
                 "serve.recover.replay", entry, entry.charged_cycles
             )
-        self._publish_usage()
         return recovered
 
     def _on_recovery(
@@ -378,7 +377,7 @@ class PartitionServer:
         self._dump_flight(f"worker-{worker.index}-dead")
 
     def _dump_flight(self, reason: str) -> Optional[Path]:
-        """Write the flight ring next to the WAL (None when off)."""
+        """Write the flight ring into the data dir (None when off)."""
         flight = self.flight
         if flight is None:
             return None
@@ -388,7 +387,7 @@ class PartitionServer:
 
     def _crash(self) -> None:
         """Simulate a process kill: listeners vanish, nothing is
-        flushed, suspended, compacted, or closed gracefully."""
+        flushed, suspended, or closed gracefully."""
         if self.flight is not None:
             self.flight.record("crash", reason="crash_after_wal")
             self._dump_flight("crash")
@@ -434,6 +433,8 @@ class PartitionServer:
         return account
 
     def _publish_usage(self) -> None:
+        """Refresh the usage and resilience gauges; every reader of
+        them (``metrics``, ``stats``, the scrape) calls this first."""
         live_total = 0
         for name in sorted(self.tenants):
             account = self.tenants[name]
@@ -587,7 +588,6 @@ class PartitionServer:
         evicted = self.registry.sweep_idle()
         if evicted:
             self._evictions.inc(len(evicted))
-        self._publish_usage()
         return response
 
     # -- request tracing -----------------------------------------------------------
@@ -1074,11 +1074,13 @@ class PartitionServer:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
+        self._publish_usage()
         return ok_response(
             metrics=self._tenant_registry(tenant_name).as_dict()
         )
 
     async def _op_stats(self, request: dict) -> dict:
+        self._publish_usage()
         return ok_response(
             sessions=len(self.registry),
             op_counter=self.registry.op_counter,

@@ -4,7 +4,7 @@ The pool's failure model is *fail-stop* (the standard model for device
 loss): a :class:`~repro.serve.registry.DeviceWorker` that faults never
 executes again, and every session resident on it loses its in-memory
 engine state.  Nothing durable is lost — each session's journal holds
-its last checkpoint plus the WAL'd modifier suffix — so failover is
+its last checkpoint plus the journaled modifier suffix — so failover is
 recovery: rebuild each lost session on a surviving worker via
 :meth:`SessionRegistry.restore` and keep serving.
 

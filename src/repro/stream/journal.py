@@ -209,6 +209,21 @@ def trim_torn_tail(path: "str | Path") -> int:
     return removed
 
 
+def fsync_directory(directory: "str | Path") -> None:
+    """Make the entries created or renamed in ``directory`` durable;
+    best-effort on filesystems that reject directory fsync."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 def _parse_record(line: str) -> Optional[dict]:
     """The record on a stripped, non-blank log line; ``None`` where a
     torn tail begins (not JSON, or no ``"r"`` field)."""
@@ -372,7 +387,7 @@ class StreamJournal:
             os.replace(self.checkpoint_path, self.prev_checkpoint_path)
             self._prev_cursor = self._current_cursor
         os.replace(tmp, self.checkpoint_path)
-        self._fsync_directory()
+        fsync_directory(self.directory)
         self._current_cursor = new_cursor
         if self.prev_checkpoint_path.exists():
             if self._prev_cursor is None:
@@ -381,20 +396,6 @@ class StreamJournal:
         else:
             cutoff = new_cursor
         self._compact(cutoff)
-
-    def _fsync_directory(self) -> None:
-        """Make the checkpoint renames durable; best-effort on
-        filesystems that reject directory fsync."""
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
 
     def _compact(self, applied_seq: int) -> None:
         """Drop journal records fully covered by both checkpoints.

@@ -35,7 +35,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -153,36 +153,34 @@ class StreamSession:
         )
         self._init_parts(
             partitioner,
-            journal_dir=journal_dir,
-            queue_capacity=queue_capacity,
-            policy=policy,
-            scheduler=scheduler,
-            checkpoint_every=checkpoint_every,
-            max_quarantine=max_quarantine,
-            quarantine_max_attempts=quarantine_max_attempts,
-            quarantine_backoff_cycles=quarantine_backoff_cycles,
-            escalate_after=escalate_after,
+            journal_dir,
+            IngestQueue(capacity=queue_capacity, policy=policy),
+            scheduler,
+            checkpoint_every,
+            Quarantine(
+                capacity=max_quarantine,
+                max_attempts=quarantine_max_attempts,
+                backoff_cycles=quarantine_backoff_cycles,
+            ),
+            escalate_after,
         )
 
     def _init_parts(
         self,
         partitioner: AdaptiveIGKway,
         journal_dir: "str | Path | None",
-        queue_capacity: int,
-        policy: str,
+        queue: IngestQueue,
         scheduler: SchedulerConfig | None,
         checkpoint_every: int,
-        max_quarantine: int = 64,
-        quarantine_max_attempts: int = 4,
-        quarantine_backoff_cycles: float = 1e6,
-        escalate_after: int = 3,
+        quarantine: Quarantine,
+        escalate_after: int,
     ) -> None:
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if escalate_after < 1:
             raise ValueError("escalate_after must be >= 1")
         self.partitioner = partitioner
-        self.queue = IngestQueue(capacity=queue_capacity, policy=policy)
+        self.queue = queue
         self.coalescer = Coalescer()
         self.scheduler = BatchScheduler(scheduler)
         self.journal = (
@@ -201,19 +199,21 @@ class StreamSession:
             "modeled GPU seconds per flushed window",
             buckets=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0),
         )
-        self.quarantine = Quarantine(
-            capacity=max_quarantine,
-            max_attempts=quarantine_max_attempts,
-            backoff_cycles=quarantine_backoff_cycles,
-        )
+        self.quarantine = quarantine
         self.quarantine.bind_metrics(self.obs)
         self.escalate_after = escalate_after
-        #: Fired after every durable checkpoint write.  The serve layer
-        #: hooks this to journal cycle settlements that must stay
-        #: consistent with the checkpoint cursor (a checkpoint can fire
-        #: mid-flush via ``checkpoint_every``, which an after-the-op
-        #: observer cannot see).
-        self.on_checkpoint: Optional[Callable[[], None]] = None
+        #: Called at every checkpoint, just before the write; the
+        #: JSON-able dict it returns is saved in that checkpoint's
+        #: stream metadata, so it always matches the checkpoint cursor
+        #: (a checkpoint can fire mid-flush via ``checkpoint_every``,
+        #: which an after-the-op observer cannot see).  The serve
+        #: registry keeps there what it must know of a session after a
+        #: crash.
+        self.on_checkpoint: Optional[Callable[[], dict]] = None
+        #: The ``on_checkpoint`` dict of the checkpoint :meth:`recover`
+        #: loaded (empty for a session that was not recovered, or whose
+        #: checkpoint had no hook).
+        self.host_meta: dict = {}
         self.applied_seq = -1
         self._consecutive_failures = 0
         self._flushes_since_checkpoint = 0
@@ -660,17 +660,12 @@ class StreamSession:
         # checkpoint-load + replay (the accumulator itself is not
         # serialized).
         self.partitioner.inner.settle_cut_maintenance()
-        scheduler = self.scheduler.config
         meta = {
             "applied_seq": self.applied_seq,
             "next_seq": self.queue.next_seq,
             "adaptive": self.partitioner.as_meta(),
-            "scheduler": {
-                "target_batch_size": scheduler.target_batch_size,
-                "batch_headroom": scheduler.batch_headroom,
-                "max_latency_cycles": scheduler.max_latency_cycles,
-                "min_batch_size": scheduler.min_batch_size,
-            },
+            "scheduler": asdict(self.scheduler.config),
+            # IngestQueue's parameter names, for IngestQueue(**...).
             "queue": {
                 "capacity": self.queue.capacity,
                 "policy": self.queue.policy,
@@ -683,11 +678,11 @@ class StreamSession:
                 "escalate_after": self.escalate_after,
             },
         }
+        if self.on_checkpoint is not None:
+            meta["host"] = self.on_checkpoint()
         self.journal.write_checkpoint(self.partitioner.inner, meta)
         self.telemetry.checkpoints_written += 1
         self._flushes_since_checkpoint = 0
-        if self.on_checkpoint is not None:
-            self.on_checkpoint()
 
     @classmethod
     def recover(
@@ -700,7 +695,8 @@ class StreamSession:
         — deterministic, hence bit-identical to the uninterrupted run),
         and re-enqueues the logged-but-unflushed suffix.  Session
         parameters (thresholds, scheduler, queue bound) are restored
-        from the checkpoint metadata.
+        from the checkpoint metadata, and the ``on_checkpoint`` dict
+        saved with the loaded checkpoint becomes :attr:`host_meta`.
         """
         with span("stream.recover"):
             return cls._recover_impl(journal_dir, ctx=ctx)
@@ -715,51 +711,47 @@ class StreamSession:
         partitioner = AdaptiveIGKway.restore(
             state.partitioner, meta.get("adaptive", {})
         )
-        scheduler_meta = meta.get("scheduler", {})
-        queue_meta = meta.get("queue", {})
-        resilience_meta = meta.get("resilience", {})
+        # A logged modifier at or past the checkpoint's next_seq was
+        # ingested by the crashed process after its last checkpoint —
+        # both its ledger cost (one host op each, here) and its
+        # telemetry count (below) are re-applied so a recovered ledger
+        # reads identically to the uninterrupted one.  The ones below
+        # it were queued when the checkpoint was written, which already
+        # counts them.
+        next_seq = int(meta.get("next_seq", 0))
+        ingested = sum(1 for seq in state.modifiers if seq >= next_seq)
+        if ingested:
+            ledger = partitioner.ctx.ledger
+            with ledger.section("stream_ingest"):
+                ledger.charge_host_ops(ingested)
+        resilience = meta["resilience"]
 
         session = cls.__new__(cls)
         session._init_parts(
             partitioner,
-            journal_dir=journal_dir,
-            queue_capacity=queue_meta.get("capacity", 4096),
-            policy=queue_meta.get("policy", "block"),
-            scheduler=SchedulerConfig(
-                target_batch_size=scheduler_meta.get("target_batch_size"),
-                batch_headroom=scheduler_meta.get("batch_headroom", 0.75),
-                max_latency_cycles=scheduler_meta.get(
-                    "max_latency_cycles"
-                ),
-                min_batch_size=scheduler_meta.get("min_batch_size", 1),
+            journal_dir,
+            IngestQueue(**meta["queue"]),
+            SchedulerConfig(**meta["scheduler"]),
+            meta["checkpoint_every"],
+            # Backoff deadlines were persisted relative to the
+            # checkpoint clock; re-anchor them to this (fresh) ledger's
+            # clock.
+            Quarantine.restore(
+                resilience.get("quarantine", {}),
+                now=ledger_cycles(partitioner.ctx.ledger),
             ),
-            checkpoint_every=meta.get("checkpoint_every", 8),
-            escalate_after=int(resilience_meta.get("escalate_after", 3)),
+            int(resilience["escalate_after"]),
         )
         session._started = True
         session.applied_seq = state.applied_seq
+        session.host_meta = meta.get("host") or {}
         session.telemetry = StreamTelemetry.restore(
             meta.get("telemetry", {})
         )
-        # Every logged modifier past the cursor was ingested exactly
-        # once by the crashed process after its last checkpoint — both
-        # its telemetry count and its ledger cost (one host op each)
-        # are re-applied so a recovered ledger reads identically to the
-        # uninterrupted one.
-        session.telemetry.ingested += len(state.modifiers)
-        if state.modifiers:
-            ledger = session.partitioner.ctx.ledger
-            with ledger.section("stream_ingest"):
-                ledger.charge_host_ops(len(state.modifiers))
+        session.telemetry.ingested += ingested
         session.telemetry.recoveries += 1
-        # Backoff deadlines were persisted relative to the checkpoint
-        # clock; re-anchor them to this (fresh) ledger's clock.
-        session.quarantine = Quarantine.restore(
-            resilience_meta.get("quarantine", {}), now=session._clock()
-        )
-        session.quarantine.bind_metrics(session.obs)
         session._consecutive_failures = int(
-            resilience_meta.get("consecutive_failures", 0)
+            resilience.get("consecutive_failures", 0)
         )
 
         # Replay the recorded flush windows without re-journaling them.
@@ -810,7 +802,7 @@ class StreamSession:
             session.queue.requeue(seq, state.modifiers[seq])
         session.queue.reserve_seq(
             max(
-                int(meta.get("next_seq", 0)),
+                next_seq,
                 state.max_logged_seq + 1,
                 session.applied_seq + 1,
             )

@@ -236,7 +236,7 @@ class ServeFaultPlan:
     * ``"execute"`` — before running a request on a device worker
       (``worker_abort`` fires here, simulating the device dying
       mid-request);
-    * ``"response"`` — after the WAL write and state change, before the
+    * ``"response"`` — after the journal write and state change, before the
       response frame goes out (``torn_response`` / ``drop_connection``
       / ``delay_response`` / ``crash_after_wal`` fire here — the
       request *executed*, only its acknowledgement is disturbed).

@@ -14,19 +14,19 @@ def _engine(tmp_path, tree):
 
 
 class TestDirectEffects:
-    def test_wal_append_detected(self, tmp_path):
+    def test_journal_append_detected(self, tmp_path):
         engine = _engine(
             tmp_path,
             {
                 "src/repro/serve/a.py": """
                 class Server:
                     def op(self):
-                        self.wal.append_create("t", "s", {})
+                        self.journal.write_checkpoint(self.partitioner, {})
                 """
             },
         )
         sig = engine.signature("repro.serve.a.Server.op")
-        assert "wal.append" in sig.direct
+        assert "journal.append" in sig.direct
 
     def test_ledger_charge_detected(self, tmp_path):
         engine = _engine(
@@ -89,13 +89,13 @@ class TestPropagation:
             tmp_path,
             {
                 "src/repro/serve/e.py": """
-                class Wal:
-                    def append_create(self):
+                class Journal:
+                    def log_flush(self):
                         pass
 
                 class Server:
                     def _persist(self):
-                        self.wal.append_create()
+                        self.journal.log_flush()
 
                     def _dispatch(self):
                         self._persist()
@@ -105,8 +105,9 @@ class TestPropagation:
                 """
             },
         )
-        # Wal.append_create is itself the wal.append primitive by name.
-        assert "wal.append" in engine.signature(
+        # Journal.log_flush is itself the journal.append primitive by
+        # name.
+        assert "journal.append" in engine.signature(
             "repro.serve.e.Server.op"
         ).effects
 
@@ -171,22 +172,26 @@ class TestEventOrdering:
 
                 class Server:
                     def good(self):
-                        self.wal.append_create()
+                        self.journal.log_flush()
                         return ok_response(ok=True)
 
                     def bad(self):
                         response = ok_response(ok=True)
-                        self.wal.append_create()
+                        self.journal.log_flush()
                         return response
                 """
             },
         )
-        wal = frozenset({"wal.append"})
+        journal = frozenset({"journal.append"})
         ack = frozenset({"ack"})
         good = engine.signature("repro.serve.h.Server.good")
         bad = engine.signature("repro.serve.h.Server.bad")
-        assert good.first_index(wal, engine) < good.first_index(ack, engine)
-        assert bad.first_index(ack, engine) < bad.first_index(wal, engine)
+        assert good.first_index(journal, engine) < good.first_index(
+            ack, engine
+        )
+        assert bad.first_index(ack, engine) < bad.first_index(
+            journal, engine
+        )
 
 
 class TestExposure:

@@ -104,27 +104,20 @@ class TestMutationSeeding:
     """Mutate a copy of the *real* serve tree and re-find the bug."""
 
     def test_wal_moved_after_ack_in_real_server_is_caught(self, tmp_path):
-        source = (REPO_SRC / "serve" / "wal.py").read_text()
         server = (REPO_SRC / "serve" / "server.py").read_text()
-        # Seed the bug: an op that acks before persisting.
+        # Seed the bug: an op that acks before journaling.
         server += textwrap.dedent(
             """
 
             class SeededBadServer:
                 def _op_create_seeded(self, request):
                     response = ok_response(ok=True)
-                    self.wal.append_create("t", "s", {})
+                    self.journal.log_flush(0, 0, "seeded")
                     return response
             """
         )
         tree_root = tmp_path / "seeded"
-        materialize(
-            {
-                "src/repro/serve/wal.py": source,
-                "src/repro/serve/server.py": server,
-            },
-            tree_root,
-        )
+        materialize({"src/repro/serve/server.py": server}, tree_root)
         findings, _ = run_effects_analysis([tree_root])
         hits = [f for f in findings if f.rule == "wal-after-ack"]
         assert hits, "seeded WAL-after-ack mutation was not re-found"

@@ -2,9 +2,10 @@
 
 Property: for each serve op, a crash at {pre-WAL, post-WAL/pre-ack,
 post-ack} recovers to *either* the pre-op state or the post-op state —
-never a third value.  The durable prefix on disk at the kill point is
-captured with a directory snapshot (exactly what a dead process leaves
-behind), then recovered by a fresh registry.
+never a third value — and so do the session's lifetime device cycles.
+The durable prefix on disk at the kill point is captured with a
+directory snapshot (exactly what a dead process leaves behind), then
+recovered by a fresh registry.
 
 The matrix crosses the kill points with {submit, submit_many, flush,
 evict}: each op's first durable append is instrumented so snapshots
@@ -12,6 +13,7 @@ land immediately before and after the write-ahead record, plus after
 the op acks.
 """
 
+import math
 import shutil
 from pathlib import Path
 
@@ -46,9 +48,15 @@ def _fingerprint(entry):
 
 
 def _recover_fingerprint(snapshot_dir):
+    return _recover(snapshot_dir)[0]
+
+
+def _recover(snapshot_dir):
+    """(fingerprint, lifetime cycles) of the recovered session."""
     registry = SessionRegistry(snapshot_dir, workers=1)
     registry.recover_entries()
-    return _fingerprint(registry.get("t", "s"))
+    entry = registry.get("t", "s")
+    return _fingerprint(entry), entry.lifetime_cycles
 
 
 def _instrument_first(obj, method_name, before, after):
@@ -69,83 +77,121 @@ def _instrument_first(obj, method_name, before, after):
     return fired
 
 
-#: op name -> (journal method carrying its first durable write, action).
-CASES = {
-    "submit": (
-        "log_modifiers",
-        lambda entry: entry.session.submit(
-            EdgeInsert(u=3, v=77)
-        ),
-    ),
-    # Three modifiers on the fixture's 5 pending, under its size target
-    # of 9: no flush fires, so all three records go out in one write
-    # and a kill can land only before or after it.
-    "submit_many": (
-        "log_modifiers",
-        lambda entry: entry.session.submit_many(_mods(3, start=17)),
-    ),
-    "flush": (
-        "log_flush",
-        lambda entry: entry.session.drain(),
-    ),
-    "evict": (
-        "write_checkpoint",
-        None,  # registry-level op, filled in per test
-    ),
+#: op name -> journal method carrying its first durable write.
+FIRST_WRITE = {
+    "submit": "log_modifiers",
+    "submit_many": "log_modifiers",
+    "flush": "log_flush",
+    "evict": "write_checkpoint",
 }
 
 
-class TestCrashMatrix:
-    @pytest.mark.parametrize("op", sorted(CASES))
-    def test_recovery_is_pre_or_post_op(self, tmp_path, op):
-        live = tmp_path / "live"
-        registry = SessionRegistry(live, workers=1)
-        entry = registry.create("t", "s", SPEC, k=3, seed=4)
-        # Durable history first: a checkpoint plus a journaled,
-        # partially-drained suffix, so recovery is never trivial.
-        for mod in _mods(12):
-            entry.session.submit(mod)
+def _kill_points(tmp_path, op, history, pending, submitted):
+    """Run ``op`` on a session with durable history, snapshotting the
+    data dir at each kill point, and recover every snapshot.
+
+    Returns ``({point: (fingerprint, lifetime cycles)}, pre_cycles,
+    post_cycles)``, the last two being the live session's lifetime
+    cycles before and after the op.  ``submit`` sends
+    ``submitted[0]``, ``submit_many`` all of ``submitted``.
+    """
+    live = tmp_path / "live"
+    registry = SessionRegistry(live, workers=1)
+    entry = registry.create("t", "s", SPEC, k=3, seed=4)
+    # Durable history first: a checkpoint plus a journaled,
+    # partially-drained suffix, so recovery is never trivial.
+    for mod in history:
+        entry.session.submit(mod)
+    entry.session.drain()
+    entry.session.checkpoint()
+    for mod in pending:
+        entry.session.submit(mod)
+    registry.settle_cycles(entry)
+    pre_cycles = entry.lifetime_cycles
+
+    snapshots = {
+        "pre": tmp_path / "pre",
+        "pre_wal": tmp_path / "pre_wal",
+        "post_wal": tmp_path / "post_wal",
+        "post": tmp_path / "post",
+    }
+    shutil.copytree(live, snapshots["pre"])
+
+    fired = _instrument_first(
+        entry.session.journal,
+        FIRST_WRITE[op],
+        lambda: shutil.copytree(live, snapshots["pre_wal"]),
+        lambda: shutil.copytree(live, snapshots["post_wal"]),
+    )
+    if op == "submit":
+        entry.session.submit(submitted[0])
+    elif op == "submit_many":
+        entry.session.submit_many(submitted)
+    elif op == "flush":
         entry.session.drain()
-        entry.session.checkpoint()
-        for mod in _mods(5, start=12):
-            entry.session.submit(mod)
-        registry.settle_cycles(entry)
+    else:
+        registry.evict("t", "s")
+    assert fired, f"{op} never reached its durable write"
+    shutil.copytree(live, snapshots["post"])
+    registry.settle_cycles(entry)
+    recovered = {
+        point: _recover(path) for point, path in snapshots.items()
+    }
+    return recovered, pre_cycles, entry.lifetime_cycles
 
-        snapshots = {
-            "pre": tmp_path / "pre",
-            "pre_wal": tmp_path / "pre_wal",
-            "post_wal": tmp_path / "post_wal",
-            "post": tmp_path / "post",
-        }
-        shutil.copytree(live, snapshots["pre"])
 
-        method, action = CASES[op]
-        fired = _instrument_first(
-            entry.session.journal,
-            method,
-            lambda: shutil.copytree(live, snapshots["pre_wal"]),
-            lambda: shutil.copytree(live, snapshots["post_wal"]),
+def _assert_pre_or_post(recovered):
+    """Every kill point recovers the pre-op or the post-op state;
+    returns the two fingerprints."""
+    pre_fp = recovered["pre"][0]
+    post_fp = recovered["post"][0]
+    # Killed before the WAL write: the op never happened.
+    assert recovered["pre_wal"][0] == pre_fp
+    # Killed between the WAL write and the ack: either outcome is
+    # legal — but nothing in between, and nothing else.
+    assert recovered["post_wal"][0] in {pre_fp, post_fp}
+    # Killed after the ack: the op sticks.
+    assert recovered["post"][0] == post_fp
+    return pre_fp, post_fp
+
+
+class TestCrashMatrix:
+    @pytest.mark.parametrize("op", sorted(FIRST_WRITE))
+    def test_recovery_is_pre_or_post_op(self, tmp_path, op):
+        # A naive stream: its repeated and pre-existing edges are
+        # quarantined.  Three modifiers on the 5 pending, under the size
+        # target of 9: no flush fires, so all three records go out in
+        # one write and a kill can land only before or after it.
+        submitted = (
+            [EdgeInsert(u=3, v=77)]
+            if op == "submit"
+            else _mods(3, start=17)
         )
-        if op == "evict":
-            registry.evict("t", "s")
-        else:
-            action(entry)
-        assert fired, f"{op} never reached its durable write"
-        shutil.copytree(live, snapshots["post"])
-
-        pre_fp = _recover_fingerprint(snapshots["pre"])
-        post_fp = _recover_fingerprint(snapshots["post"])
-        legal = {pre_fp, post_fp}
-
-        # Killed before the WAL write: the op never happened.
-        assert _recover_fingerprint(snapshots["pre_wal"]) == pre_fp
-        # Killed between the WAL write and the ack: either outcome is
-        # legal — but nothing in between, and nothing else.
-        assert _recover_fingerprint(snapshots["post_wal"]) in legal
-        # Killed after the ack: the op sticks.
-        assert (
-            _recover_fingerprint(snapshots["post"]) == post_fp
+        recovered, _pre, _post = _kill_points(
+            tmp_path, op, _mods(12), _mods(5, start=12), submitted
         )
+        _assert_pre_or_post(recovered)
+
+    @pytest.mark.parametrize("op", sorted(FIRST_WRITE))
+    def test_recovered_cycles_are_pre_or_post_op(
+        self, tmp_path, op, clean_mods
+    ):
+        # Poison-free (see conftest.clean_mods): a poisoned flush
+        # retries its quarantine after the flush record, and replay
+        # does not re-run retries, so a kill between the two would
+        # land between the two cycle figures.
+        stream = clean_mods(SPEC, 20)
+        recovered, pre_cycles, post_cycles = _kill_points(
+            tmp_path, op, stream[:12], stream[12:17], stream[17:]
+        )
+        pre_fp, post_fp = _assert_pre_or_post(recovered)
+        # Each kill point's lifetime cycles are those of the outcome
+        # it recovered.
+        outcomes = {pre_fp: pre_cycles, post_fp: post_cycles}
+        for point, (fingerprint, cycles) in recovered.items():
+            assert math.isclose(
+                cycles, outcomes[fingerprint], rel_tol=1e-9
+            ), point
 
     def test_post_ack_submit_survives(self, tmp_path):
         # The acked write is durable: recovery must include it.

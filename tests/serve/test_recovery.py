@@ -1,11 +1,15 @@
-"""Registry crash recovery: manifest replay re-materializes sessions."""
+"""Registry crash recovery: each session's checkpoint revives it."""
 
 import math
+import shutil
 
-import pytest
-
-from repro.serve.registry import SessionRegistry, partition_sha256
-from repro.serve.wal import ServeWAL
+from repro.partition.config import PartitionConfig
+from repro.serve.registry import (
+    SessionRegistry,
+    build_graph,
+    partition_sha256,
+)
+from repro.stream.session import StreamSession
 
 SPEC = {
     "generator": "circuit",
@@ -91,23 +95,25 @@ class TestRecoverEntries:
             )
             assert math.isclose(got, expected, rel_tol=1e-6)
 
-    def test_create_without_checkpoint_recreated(self, tmp_path):
-        # Crash between the WAL append and session construction: the
-        # manifest names a session whose journal dir never appeared.
-        registry = SessionRegistry(tmp_path / "d", workers=1)
-        params = {"graph": SPEC, "k": 3, "seed": 4}
-        registry.wal.append_create("t", "ghost", params)
+    def test_directory_without_checkpoint_not_recovered(self, tmp_path):
+        # A create that crashed before its first checkpoint leaves a
+        # session directory with no checkpoint (here: a torn temp
+        # file).  It was never acked, so it is simply absent.
+        ghost = tmp_path / "d" / "t" / "ghost"
+        ghost.mkdir(parents=True)
+        (ghost / "checkpoint.npz.tmp.npz").write_bytes(b"torn")
 
         fresh = SessionRegistry(tmp_path / "d", workers=1)
-        recovered = fresh.recover_entries()
-        assert [e.key for e in recovered] == [("t", "ghost")]
-        ghost = fresh.get("t", "ghost")
-        assert ghost.live and ghost.recoveries == 0
-        # Identical to the session the acked create would have made.
+        assert fresh.recover_entries() == []
+        assert len(fresh) == 0
+        # The client's retried create succeeds, and makes the session
+        # an uncrashed create would have made.
+        created = fresh.create("t", "ghost", SPEC, k=3, seed=4)
         reference = SessionRegistry(tmp_path / "ref", workers=1)
         ref = reference.create("t", "ghost", SPEC, k=3, seed=4)
-        assert _fingerprint(ghost) == _fingerprint(ref)
+        assert _fingerprint(created) == _fingerprint(ref)
         reference.close()
+        fresh.close()
 
     def test_existing_entries_skipped(self, tmp_path):
         registry = SessionRegistry(tmp_path / "d", workers=1)
@@ -127,16 +133,119 @@ class TestRecoverEntries:
         assert fresh.recover_entries() == []
         assert len(fresh) == 1
 
-    def test_clean_shutdown_compacts_manifest(self, tmp_path, clean_mods):
-        registry = SessionRegistry(tmp_path / "d", workers=1)
-        entry = registry.create("t", "s", SPEC, k=2)
-        for mod in clean_mods(SPEC, 8):
-            entry.session.submit(mod)
+    def test_stored_creation_order_places_and_resumes(self, tmp_path):
+        # Names sort against creation order, so placement must come
+        # from the stored index, not the directory walk.
+        registry = SessionRegistry(tmp_path / "d", workers=2)
+        for name in ("zeta", "alpha", "mid"):
+            registry.create("t", name, SPEC, k=2)
+        placed = {
+            name: registry.get("t", name).worker.index
+            for name in ("zeta", "alpha", "mid")
+        }
+
+        fresh = SessionRegistry(tmp_path / "d", workers=2)
+        recovered = fresh.recover_entries()
+        assert [e.name for e in recovered] == ["zeta", "alpha", "mid"]
+        for name, index in placed.items():
+            assert fresh.get("t", name).worker.index == index
+        # The creation counter resumes after the largest stored index:
+        # the next create lands where the crashed process would have.
+        assert fresh.create("t", "late", SPEC, k=2).worker.index == 1
+
+
+    def test_checkpoint_without_registry_metadata_recovers_last(
+        self, tmp_path
+    ):
+        # A journal the registry's hook never wrote to (here a bare
+        # StreamSession's) has no creation index: it is placed after
+        # every indexed session, with nothing charged up front.
+        legacy = StreamSession(
+            build_graph(SPEC),
+            PartitionConfig(k=2, seed=1),
+            journal_dir=tmp_path / "d" / "a" / "legacy",
+        )
+        legacy.start()
+        legacy.close()
+        registry = SessionRegistry(tmp_path / "d", workers=2)
+        registry.create("t", "s", SPEC, k=2)
+
+        fresh = SessionRegistry(tmp_path / "d", workers=2)
+        recovered = fresh.recover_entries()
+        assert [e.key for e in recovered] == [("t", "s"), ("a", "legacy")]
+        assert [e.worker.index for e in recovered] == [0, 1]
+        assert recovered[1].origin_trace is None
+
+
+def _snapshot_after_first(obj, method_name, target, source):
+    """Copy ``source`` to ``target`` right after the first call of
+    ``obj.method_name`` returns: what a process killed there leaves."""
+    original = getattr(obj, method_name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if not target.exists():
+            shutil.copytree(source, target)
+        return result
+
+    setattr(obj, method_name, wrapper)
+
+
+class TestCycleExactRecovery:
+    """Recovered lifetime cycles equal the live figure at the kill."""
+
+    def test_crash_right_after_checkpoint_write(
+        self, tmp_path, clean_mods
+    ):
+        live = tmp_path / "live"
+        registry = SessionRegistry(live, workers=1)
+        entry = registry.create("t", "s", SPEC, k=3, seed=4)
+        stream = clean_mods(SPEC, 40)
+        entry.session.submit_many(stream[:20])
         entry.session.drain()
+        registry.settle_cycles(entry)
+        entry.session.submit_many(stream[20:])
+        entry.session.drain()
+        snapshot = tmp_path / "snap"
+        _snapshot_after_first(
+            entry.session.journal, "write_checkpoint", snapshot, live
+        )
         entry.session.checkpoint()
-        entry.session.checkpoint()
-        registry.close()
-        # close() compacts: one create, one settle.
-        state = ServeWAL(tmp_path / "d").load()
-        assert [n for _, n, _ in state.creates] == ["s"]
-        assert ("t", "s") in state.settled_cycles
+        assert snapshot.exists()
+        registry.settle_cycles(entry)
+        expected = entry.lifetime_cycles
+
+        fresh = SessionRegistry(snapshot, workers=1)
+        fresh.recover_entries()
+        got = fresh.get("t", "s")
+        assert _fingerprint(got) == _fingerprint(entry)
+        assert math.isclose(got.lifetime_cycles, expected, rel_tol=1e-9)
+        assert math.isclose(
+            fresh.workers[0].cycles_by_tenant["t"], expected, rel_tol=1e-9
+        )
+
+    def test_corrupt_newest_checkpoint_falls_back_to_previous(
+        self, tmp_path, clean_mods
+    ):
+        registry = SessionRegistry(tmp_path / "d", workers=1)
+        entry = registry.create("t", "s", SPEC, k=3, seed=4)
+        stream = clean_mods(SPEC, 45)
+        for lo, hi in ((0, 15), (15, 30)):
+            entry.session.submit_many(stream[lo:hi])
+            entry.session.drain()
+            entry.session.checkpoint()
+        entry.session.submit_many(stream[30:])
+        entry.session.drain()
+        registry.settle_cycles(entry)
+        expected = entry.lifetime_cycles
+        fingerprint = _fingerprint(entry)
+        # No close(): the process dies, and the newest checkpoint is
+        # damaged on disk, so recovery loads checkpoint.prev.npz.
+        newest = tmp_path / "d" / "t" / "s" / "checkpoint.npz"
+        newest.write_bytes(newest.read_bytes()[:64])
+
+        fresh = SessionRegistry(tmp_path / "d", workers=1)
+        fresh.recover_entries()
+        got = fresh.get("t", "s")
+        assert _fingerprint(got) == fingerprint
+        assert math.isclose(got.lifetime_cycles, expected, rel_tol=1e-9)

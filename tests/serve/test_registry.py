@@ -5,7 +5,11 @@ import math
 import pytest
 
 from repro.graph.modifiers import EdgeInsert
-from repro.serve.protocol import E_SESSION_EXISTS, E_UNKNOWN_SESSION
+from repro.serve.protocol import (
+    E_BAD_REQUEST,
+    E_SESSION_EXISTS,
+    E_UNKNOWN_SESSION,
+)
 from repro.serve.registry import (
     SessionRegistry,
     build_graph,
@@ -50,6 +54,30 @@ class TestBuildGraph:
 
 
 class TestLifecycle:
+    @pytest.mark.parametrize(
+        "bad", ["..", ".", "a/b", "a\x00b", ".hidden", "x" * 65, ""]
+    )
+    @pytest.mark.parametrize("field", ["tenant", "session"])
+    def test_unsafe_names_rejected_before_disk(self, tmp_path, bad, field):
+        # Every name becomes one path component under the data dir:
+        # anything else could write outside it (tenant "..").
+        root = tmp_path / "root"
+        registry = SessionRegistry(root / "data")
+        before = sorted(tmp_path.rglob("*"))
+        names = {"tenant": "t", "session": "s", field: bad}
+        with pytest.raises(ServeError) as exc:
+            registry.create(names["tenant"], names["session"], SPEC, k=2)
+        assert exc.value.code == E_BAD_REQUEST
+        assert sorted(tmp_path.rglob("*")) == before
+        assert len(registry) == 0
+
+    @pytest.mark.parametrize("name", ["a", "s0", "A.b-c_9", "x" * 64])
+    def test_safe_names_accepted(self, tmp_path, name):
+        registry = _registry(tmp_path)
+        entry = registry.create(name, name, SPEC, k=2)
+        assert entry.journal_dir == tmp_path / "data" / name / name
+        registry.close()
+
     def test_create_duplicate_rejected(self, tmp_path):
         registry = _registry(tmp_path)
         registry.create("t", "s", SPEC, k=2)

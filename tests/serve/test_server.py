@@ -225,6 +225,27 @@ class TestEvictReattach:
         assert after == before
         assert client.attach("s")["evictions"] == 1
 
+    def test_metrics_and_stats_reflect_an_evict_sent_just_before(
+        self, client
+    ):
+        # The usage gauges are published when they are read, so the
+        # reply to the very next request already sees the evict.
+        client.create("s", SPEC, k=2, seed=3)
+        client.create("u", SPEC, k=2, seed=4)
+        client.submit("s", [EdgeInsert(u=1, v=10_000)])  # poison
+        client.flush("s")
+        metrics = client.metrics()["metrics"]
+        assert metrics["serve_tenant_sessions_live"] == 2
+        assert metrics["serve_tenant_quarantined_modifiers"] == 1
+        client.evict("s")
+        metrics = client.metrics()["metrics"]
+        assert metrics["serve_tenant_sessions_live"] == 1
+        # An evicted session's resilience counts stay observable.
+        assert metrics["serve_tenant_quarantined_modifiers"] == 1
+        client.evict("u")
+        stats = client.stats()
+        assert stats["server_metrics"]["serve_sessions_live"] == 0
+
     def test_idle_eviction_checkpoints_on_evict(self):
         config = ServerConfig(idle_evict_after_ops=3)
         with ServerThread(config) as thread:

@@ -1,8 +1,8 @@
 """Trace continuity across restarts and failover.
 
 A session's *originating* trace id (the ``client.create`` trace) is
-persisted in the serve WAL, so every journal replay the session ever
-undergoes — boot recovery after a crash, failover off a dead worker —
+saved with each of its checkpoints, so every journal replay the session
+ever undergoes — boot recovery after a crash, failover off a dead worker —
 re-attaches to that trace.  Querying the create's trace id therefore
 shows the session's whole afterlife.
 """
@@ -12,7 +12,6 @@ import pytest
 from repro.obs.distrib import TraceRecorder, make_trace_id
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.serve.registry import SessionRegistry
-from repro.serve.wal import ServeWAL
 
 SPEC = {
     "generator": "circuit",
@@ -157,22 +156,11 @@ class TestFailoverReplayTrace:
 
 
 class TestOriginTracePersistence:
-    def test_wal_compaction_keeps_origin_trace(self, tmp_path):
-        wal = ServeWAL(tmp_path)
-        wal.append_create(
-            "acme", "s", {"k": 3}, trace="acme/create#0"
-        )
-        wal.append_create("acme", "untr", {"k": 2})
-        wal.compact()
-        state = ServeWAL(tmp_path).load()
-        assert state.origin_traces[("acme", "s")] == "acme/create#0"
-        assert ("acme", "untr") not in state.origin_traces
-
     def test_untraced_create_falls_back_to_counter_zero(
         self, tmp_path, clean_mods
     ):
-        """Sessions created without a client trace (pre-tracing WALs,
-        untraced clients) still replay under a deterministic id."""
+        """Sessions created without a client trace (untraced clients)
+        still replay under a deterministic id."""
         data_dir = tmp_path / "d"
         registry = SessionRegistry(data_dir, workers=1)
         entry = registry.create("acme", "s", SPEC, k=2, seed=3)
