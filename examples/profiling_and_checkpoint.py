@@ -4,7 +4,7 @@
 Three things a team adopting the library needs beyond partitioning:
 
 1. **Profiling** — which simulated kernels dominate an incremental
-   iteration (the cost ledger's kernel trace),
+   iteration (the kernel events of an obs ``Tracer``),
 2. **What-if analysis** — how modeled runtimes shift on a faster or
    slower device, and why the iG-kway speedup is robust to that,
 3. **Checkpointing** — park a long incremental session to disk and
@@ -23,6 +23,7 @@ from repro.core.serialize import load_partitioner, save_partitioner
 from repro.eval.workloads import TraceConfig, generate_trace
 from repro.graph import circuit_graph
 from repro.gpusim import A6000, GpuContext, scale_device
+from repro.obs import Tracer, span, summarize
 
 
 def main() -> int:
@@ -36,11 +37,16 @@ def main() -> int:
     ctx = GpuContext()
     ig = IGKway(csr, PartitionConfig(k=4, seed=11), ctx=ctx)
     ig.full_partition()
-    ctx.ledger.enable_trace()
-    for batch in trace[:5]:
-        ig.apply(batch)
+    # Kernel events are aggregated under the innermost open span.
+    tracer = Tracer(ledger=ctx.ledger, session="profile")
+    with tracer.activate(), span("example.iterations"):
+        for batch in trace[:5]:
+            ig.apply(batch)
     print("Hottest kernels over 5 incremental iterations:")
-    print(ctx.ledger.format_trace(limit=8))
+    kernels = [e for e in tracer.events if e.kind == "kernel"]
+    print(f"{'kernel@section':<40} {'launches':>9} {'seconds':>12}")
+    for key, agg in summarize(kernels, spans_only=False)[:8]:
+        print(f"{key:<40} {agg.count:>9} {agg.device_seconds:>12.3e}")
 
     # -- 2. what-if devices ------------------------------------------------------
     print("\nDevice sensitivity (5 iterations, modeled seconds):")

@@ -96,7 +96,7 @@ def transaction(
     try:
         yield
     except BaseException as err:
-        from repro.obs import default_registry, span
+        from repro.obs import span
 
         restored_slots = log.slot_writes
         with span("transaction.rollback"):
@@ -116,15 +116,6 @@ def transaction(
                     if state is not None:
                         n = state.partition.size
                         ledger.charge_transactions(-(-n // 16))
-        registry = default_registry()
-        registry.counter(
-            "transaction_rollbacks_total",
-            "modifier batches rolled back transactionally",
-        ).inc()
-        registry.counter(
-            "transaction_rollback_slots_total",
-            "bucket-pool slots restored by rollbacks",
-        ).inc(max(restored_slots, 0))
         if pre_digest is not None:
             post_digest = state_digest(graph, state)
             if post_digest != pre_digest:

@@ -124,17 +124,6 @@ class _KernelScope:
     name: str = "kernel"
 
 
-@dataclass(frozen=True)
-class KernelRecord:
-    """One traced kernel execution (profiling support)."""
-
-    name: str
-    section: str
-    warp_instructions: int
-    transactions: int
-    seconds: float
-
-
 class CostLedger:
     """Accumulates counters into named sections.
 
@@ -152,8 +141,6 @@ class CostLedger:
         self.sections: Dict[str, Counters] = {}
         self._section_stack: list[str] = [self.DEFAULT_SECTION]
         self._kernel_stack: list[_KernelScope] = []
-        self.trace_enabled = False
-        self.kernel_trace: list[KernelRecord] = []
         #: Observability hook (:class:`repro.obs.tracer.Tracer` installs
         #: itself here while active).  Checked with a single attribute
         #: read in :meth:`end_kernel`, so un-traced runs pay nothing —
@@ -202,17 +189,6 @@ class CostLedger:
         )
         self.total.overlapped_kernel_seconds += seconds
         self._bucket().overlapped_kernel_seconds += seconds
-        if self.trace_enabled:
-            self.kernel_trace.append(
-                KernelRecord(
-                    name=scope.name,
-                    section=self.current_section,
-                    warp_instructions=scope.warp_instructions,
-                    transactions=scope.transactions,
-                    seconds=seconds
-                    + self.model.device.kernel_launch_overhead_s,
-                )
-            )
         if self.obs_hook is not None:
             self.obs_hook(
                 scope.name,
@@ -230,41 +206,6 @@ class CostLedger:
             yield
         finally:
             self.end_kernel()
-
-    # -- kernel tracing --------------------------------------------------------
-
-    def enable_trace(self) -> None:
-        """Record a :class:`KernelRecord` per kernel from now on."""
-        self.trace_enabled = True
-
-    def top_kernels(self, limit: int = 10) -> list[tuple[str, float, int]]:
-        """Aggregate traced kernels: ``(name, total_seconds, launches)``
-        sorted by time, heaviest first."""
-        totals: Dict[str, list[float]] = {}
-        for record in self.kernel_trace:
-            entry = totals.setdefault(record.name, [0.0, 0])
-            entry[0] += record.seconds
-            entry[1] += 1
-        ranked = sorted(
-            ((name, sec, int(cnt)) for name, (sec, cnt) in totals.items()),
-            key=lambda row: -row[1],
-        )
-        return ranked[:limit]
-
-    def format_trace(self, limit: int = 10) -> str:
-        """Human-readable profile of the heaviest kernels."""
-        rows = self.top_kernels(limit)
-        if not rows:
-            return "no kernels traced (call enable_trace() first)"
-        width = max(len(name) for name, _sec, _cnt in rows)
-        lines = [
-            f"{'kernel':<{width}} {'launches':>9} {'seconds':>12}",
-        ]
-        for name, seconds, launches in rows:
-            lines.append(
-                f"{name:<{width}} {launches:>9} {seconds:>12.3e}"
-            )
-        return "\n".join(lines)
 
     # -- charging ------------------------------------------------------------
 
@@ -346,4 +287,3 @@ class CostLedger:
         self.sections = {}
         self._section_stack = [self.DEFAULT_SECTION]
         self._kernel_stack = []
-        self.kernel_trace = []

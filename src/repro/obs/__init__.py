@@ -12,7 +12,7 @@ section 11):
   the same bar shadow mode meets).
 * :mod:`repro.obs.metrics` — typed counters/gauges/histograms in a
   :class:`MetricsRegistry`; the streaming telemetry, scheduler,
-  quarantine and transaction layer publish here.
+  quarantine and the serve layer publish here.
 * :mod:`repro.obs.export` — JSONL (``repro-trace-v1``), Prometheus
   text, and Chrome trace-event exporters with schema validators.
 * :mod:`repro.obs.diff` — per-phase regression attribution between two
@@ -77,7 +77,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
     escape_label_value,
     merge_into,
     to_prometheus_labeled,
@@ -106,7 +105,6 @@ __all__ = [
     "aggregate",
     "chrome_trace",
     "dashboard_data",
-    "default_registry",
     "diff_traces",
     "event_key",
     "extract_data_block",

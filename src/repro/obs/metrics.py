@@ -1,13 +1,13 @@
 """Typed metrics registry: counters, gauges, and histograms.
 
-The streaming telemetry, scheduler, quarantine, and transaction layer
-all publish into a :class:`MetricsRegistry`; exporters render one
-registry as a flat dict (eval/JSON), Prometheus text exposition, or a
-block in a report.  The registry is deliberately minimal — a name maps
-to exactly one typed instrument, re-registering with the same type
-returns the existing instrument, and re-registering with a different
-type raises — so independent components can share a registry without
-coordination.
+The streaming telemetry, scheduler and quarantine publish into a
+session's :class:`MetricsRegistry`, the serve layer into its own;
+exporters render one registry as a flat dict (eval/JSON), Prometheus
+text exposition, or a block in a report.  The registry is deliberately
+minimal — a name maps to exactly one typed instrument, re-registering
+with the same type returns the existing instrument, and re-registering
+with a different type raises — so independent components can share a
+registry without coordination.
 
 Exports are *sorted by metric name* (and histogram buckets by bound):
 two registries that saw the same updates in different orders serialize
@@ -307,14 +307,3 @@ def _format_value(value: Number) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
-
-
-#: Process-wide registry for cross-cutting counters whose owners have
-#: no natural registry handle (e.g. transactional rollbacks).  Sessions
-#: and benches create their own registries; this one is for code that
-#: fires rarely and from deep inside the core layers.
-_DEFAULT = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    return _DEFAULT

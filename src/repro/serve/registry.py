@@ -83,6 +83,18 @@ GRAPH_GENERATORS = {
 _NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,63}")
 
 
+def check_name(kind: str, value) -> None:
+    """Raise ``bad-request`` unless ``value`` is a valid ``kind``
+    (tenant or session) name; checked before anything is created for
+    it, on disk or in memory."""
+    if not isinstance(value, str) or not _NAME.fullmatch(value):
+        raise ServeError(
+            f"{kind} name {value!r} must be 1-64 characters "
+            "of [A-Za-z0-9._-] not starting with '.'",
+            code=E_BAD_REQUEST,
+        )
+
+
 def build_graph(spec: dict):
     """Construct the CSR graph a ``create`` request describes.
 
@@ -311,23 +323,28 @@ class SessionRegistry:
         record, before this returns (and so before the ack).  A crash
         earlier leaves no checkpoint: the session is absent after
         recovery, and the client, which never saw the ack, retries.
+        A directory that already holds a checkpoint is refused with
+        ``session-exists``: it belongs to a session this registry has
+        not recovered, whose journal a new session must not inherit.
         """
-        for kind, value in (("tenant", tenant), ("session", name)):
-            if not isinstance(value, str) or not _NAME.fullmatch(value):
-                raise ServeError(
-                    f"{kind} name {value!r} must be 1-64 characters "
-                    "of [A-Za-z0-9._-] not starting with '.'",
-                    code=E_BAD_REQUEST,
-                )
+        check_name("tenant", tenant)
+        check_name("session", name)
         key = (tenant, name)
         if key in self._entries:
             raise ServeError(
                 f"tenant {tenant!r} already has a session {name!r}",
                 code=E_SESSION_EXISTS,
             )
+        journal_dir = self.data_dir / tenant / name
+        if journal_dir.is_dir() and StreamJournal(journal_dir).exists():
+            raise ServeError(
+                f"{journal_dir} holds a checkpoint of session {name!r} "
+                f"of tenant {tenant!r}: restart the server with "
+                "--recover to revive it",
+                code=E_SESSION_EXISTS,
+            )
         csr = build_graph(graph_spec)  # validate before touching disk
         worker = self._assign_worker(self._created)
-        journal_dir = self.data_dir / tenant / name
         new_tenant = not journal_dir.parent.exists()
         # repro-lint: allow[wal-after-ack] a create's durable record is its session's first checkpoint, so the session exists before it; start() writes it before the ack
         session = StreamSession(
@@ -469,12 +486,17 @@ class SessionRegistry:
         replay then charges exactly the cycles that figure does not
         cover, so recovered totals equal the uncrashed run's.  A
         directory without a checkpoint (a create that crashed before
-        its ack) is skipped.
+        its ack), or whose path is not a valid tenant and session name,
+        is skipped.
         """
         revived = []
         for journal_dir in sorted(self.data_dir.glob("*/*")):
             key = (journal_dir.parent.name, journal_dir.name)
-            if key in self._entries or not journal_dir.is_dir():
+            if (
+                key in self._entries
+                or not journal_dir.is_dir()
+                or not all(_NAME.fullmatch(part) for part in key)
+            ):
                 continue
             if StreamJournal(journal_dir).exists():
                 revived.append((key, StreamSession.recover(journal_dir)))

@@ -81,6 +81,7 @@ from repro.serve.quotas import (
 from repro.serve.registry import (
     SessionEntry,
     SessionRegistry,
+    check_name,
     partition_sha256,
 )
 from repro.serve.shedding import LoadShedder, ShedPolicy
@@ -424,6 +425,7 @@ class PartitionServer:
     def tenant(self, name: str) -> TenantAccount:
         account = self.tenants.get(name)
         if account is None:
+            check_name("tenant", name)
             if not self.config.auto_register_tenants:
                 raise ServeError(
                     f"unknown tenant {name!r}", code=E_UNKNOWN_TENANT

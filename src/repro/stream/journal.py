@@ -53,11 +53,13 @@ compaction always retains every journal record the *previous*
 checkpoint would need, so the fallback replays to the same state.
 
 Degraded-mode records: a flush that had to quarantine poison modifiers
-logs them in the flush record's ``"x"`` field (replay excludes them and
-re-quarantines), and a modifier whose retry budget is exhausted gets a
-permanent ``{"r": "d", ...}`` *dead-letter* record — the audit trail
-that no rejected submission is ever silently dropped.  Dead-letter
-records survive compaction for the journal's lifetime.
+logs them in the flush record's ``"x"`` field (replay runs the window
+through the live window path, which sends them down the poison path
+without re-running their failed attempts), and a modifier whose retry
+budget is exhausted gets a permanent ``{"r": "d", ...}`` *dead-letter*
+record — the audit trail that no rejected submission is ever silently
+dropped.  Dead-letter records survive compaction for the journal's
+lifetime.
 """
 
 from __future__ import annotations
@@ -340,8 +342,8 @@ class StreamJournal:
         coalesced and applied.  Replay re-derives the batch from the
         logged modifiers in that range.  ``excluded`` lists the seqs the
         resilient path pulled out of the window (quarantined or
-        dead-lettered poison) — replay drops them before coalescing and
-        routes them back through the quarantine."""
+        dead-lettered poison) — replay coalesces the whole window again
+        and sends those survivors down the poison path unapplied."""
         record = {"r": "f", "a": first_seq, "b": last_seq, "w": reason}
         if excluded:
             record["x"] = sorted(int(s) for s in excluded)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import AdaptiveIGKway, AdaptiveReport
 from repro.core.igkway import FullPartitionReport
@@ -220,11 +220,6 @@ class StreamSession:
         self._window_opened_cycles: Optional[float] = None
         self._started = False
         self._suspended = False
-        self._replaying = False
-        # Set during replay of a flush record that had exclusions, so
-        # the clean re-apply doesn't reset the failure streak the
-        # crashed process had accumulated.
-        self._replay_failure = False
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -399,20 +394,38 @@ class StreamSession:
         return reports
 
     def _apply_window(
-        self, window: List[SequencedModifier], reason: str
+        self,
+        window: List[SequencedModifier],
+        reason: str,
+        excluded: Collection[int] = (),
     ) -> StreamBatchReport:
         with span("stream.apply-window", batch=window[0].seq):
-            return self._apply_window_inner(window, reason)
+            return self._apply_window_inner(window, reason, excluded)
 
     def _apply_window_inner(
-        self, window: List[SequencedModifier], reason: str
+        self,
+        window: List[SequencedModifier],
+        reason: str,
+        excluded: Collection[int],
     ) -> StreamBatchReport:
         result = self.coalescer.collapse(window)
         applied_count = 0
         poison: List[PoisonEntry] = []
         if len(result.batch):
             entries = list(zip(result.seqs, result.batch))
-            applied_count, reports, poison = self._apply_entries(entries)
+            if excluded:
+                # A replayed window: the survivors its flush record
+                # excludes were found poison when it was journaled, so
+                # they take the poison path without re-running the
+                # failed attempts.
+                poison = [
+                    (seq, modifier, "re-quarantined during replay")
+                    for seq, modifier in entries
+                    if seq in excluded
+                ]
+                entries = [e for e in entries if e[0] not in excluded]
+            applied_count, reports, found = self._apply_entries(entries)
+            poison += found
             if reports:
                 cut = reports[-1].iteration.cut
                 used_fallback = any(r.used_fallback for r in reports)
@@ -458,7 +471,7 @@ class StreamSession:
                 else:
                     self._dead_letter(seq, modifier, error)
                     dead_lettered += 1
-        elif len(result.batch) and not self._replay_failure:
+        elif len(result.batch):
             self._consecutive_failures = 0
 
         self.applied_seq = result.last_seq
@@ -477,31 +490,28 @@ class StreamSession:
         )
         self._batch_seconds.observe(seconds)
         self.telemetry.publish_to(self.obs)
-        if self.journal is not None and not self._replaying:
+        self._flushes_since_checkpoint += 1
+        if self.journal is not None:
             self.journal.log_flush(
                 result.first_seq,
                 result.last_seq,
                 reason,
                 excluded=[seq for seq, _m, _e in poison],
             )
-            self._flushes_since_checkpoint += 1
-            if poison:
-                # Degraded windows are checkpoint barriers: recovery
-                # must never re-run the failure, only its outcome.
-                self.checkpoint()
-            elif (
-                self.checkpoint_every
-                and self._flushes_since_checkpoint
-                >= self.checkpoint_every
-            ):
-                self.checkpoint()
+        # Degraded windows are checkpoint barriers: recovery must never
+        # re-run the failure, only its outcome.
+        if poison or (
+            self.checkpoint_every
+            and self._flushes_since_checkpoint >= self.checkpoint_every
+        ):
+            self._reach_checkpoint()
 
         escalated = False
         if poison and self._consecutive_failures >= self.escalate_after:
             self._escalate()
             escalated = True
         recovered = 0
-        if not self._replaying and len(self.quarantine):
+        if len(self.quarantine):
             recovered = self.retry_quarantine(force=escalated)
         return StreamBatchReport(
             first_seq=result.first_seq,
@@ -578,7 +588,7 @@ class StreamSession:
 
     def _dead_letter(self, seq: int, modifier: Modifier, error: str) -> None:
         """Permanently reject a modifier, leaving a durable trace."""
-        if self.journal is not None and not self._replaying:
+        if self.journal is not None:
             self.journal.log_dead_letter(seq, modifier, error)
         self.telemetry.record_dead_letter()
 
@@ -625,8 +635,8 @@ class StreamSession:
                     ),
                     queue_depth=self.queue.depth,
                 )
-        if changed and self.journal is not None and not self._replaying:
-            self.checkpoint()
+        if changed:
+            self._reach_checkpoint()
         return recovered
 
     def _escalate(self) -> None:
@@ -641,10 +651,18 @@ class StreamSession:
         report = self.partitioner.repartition(compact=True)
         self.telemetry.record_full_partition(report.cut, report.seconds)
         self._consecutive_failures = 0
-        if self.journal is not None and not self._replaying:
-            self.checkpoint()
+        self._reach_checkpoint()
 
     # -- durability ----------------------------------------------------------------
+
+    def _reach_checkpoint(self) -> None:
+        """Checkpoint where a journaled run must.  Without a journal
+        (also in a replay, which runs detached from it) only restart
+        the count toward ``checkpoint_every``, as that checkpoint did."""
+        if self.journal is not None:
+            self.checkpoint()
+        else:
+            self._flushes_since_checkpoint = 0
 
     def checkpoint(self) -> None:
         """Write a durable checkpoint and compact the journal."""
@@ -660,6 +678,9 @@ class StreamSession:
         # checkpoint-load + replay (the accumulator itself is not
         # serialized).
         self.partitioner.inner.settle_cut_maintenance()
+        # Counted before the telemetry is saved, so the checkpoint's
+        # own telemetry includes it.
+        self.telemetry.checkpoints_written += 1
         meta = {
             "applied_seq": self.applied_seq,
             "next_seq": self.queue.next_seq,
@@ -681,7 +702,6 @@ class StreamSession:
         if self.on_checkpoint is not None:
             meta["host"] = self.on_checkpoint()
         self.journal.write_checkpoint(self.partitioner.inner, meta)
-        self.telemetry.checkpoints_written += 1
         self._flushes_since_checkpoint = 0
 
     @classmethod
@@ -691,12 +711,16 @@ class StreamSession:
         """Rebuild a session from its journal after a crash.
 
         Loads the last checkpoint, replays exactly the flush windows the
-        journal recorded past the cursor (re-coalescing each raw window
-        — deterministic, hence bit-identical to the uninterrupted run),
-        and re-enqueues the logged-but-unflushed suffix.  Session
-        parameters (thresholds, scheduler, queue bound) are restored
-        from the checkpoint metadata, and the ``on_checkpoint`` dict
-        saved with the loaded checkpoint becomes :attr:`host_meta`.
+        journal recorded past the cursor through the live window path
+        (re-coalescing each raw window, then the poison path, failure
+        streak, escalation and quarantine retry — deterministic, hence
+        bit-identical to the uninterrupted run), and re-enqueues the
+        logged-but-unflushed suffix.  Only a window's failed forward
+        attempts are not re-run: its flush record carries their
+        outcome.  Session parameters (thresholds, scheduler, queue
+        bound) are restored from the checkpoint metadata, and the
+        ``on_checkpoint`` dict saved with the loaded checkpoint becomes
+        :attr:`host_meta`.
         """
         with span("stream.recover"):
             return cls._recover_impl(journal_dir, ctx=ctx)
@@ -754,48 +778,18 @@ class StreamSession:
             resilience.get("consecutive_failures", 0)
         )
 
-        # Replay the recorded flush windows without re-journaling them.
-        # A flush record's excluded seqs were quarantined (or
-        # dead-lettered) by the crashed process after its last
-        # checkpoint: replay re-routes them the same way instead of
-        # re-running the failure itself.
-        session._replaying = True
-        try:
-            for first, last, reason, excluded in state.flushes:
-                excluded_set = set(excluded)
-                window = []
-                for seq in range(first, last + 1):
-                    modifier = state.modifiers.pop(seq)
-                    if seq not in excluded_set:
-                        window.append(SequencedModifier(seq, modifier))
-                    elif seq in state.dead_letters:
-                        session.telemetry.record_dead_letter()
-                    elif session.quarantine.add(
-                        seq,
-                        modifier,
-                        "re-quarantined during replay",
-                        session._clock(),
-                    ):
-                        session.telemetry.record_quarantined()
-                    else:
-                        session._dead_letter(
-                            seq, modifier, "quarantine full during replay"
-                        )
-                session._replay_failure = bool(excluded)
-                if window:
-                    session._apply_window(window, reason)
-                session._replay_failure = False
-                session.applied_seq = last
-                if excluded:
-                    session.telemetry.record_batch_failure()
-                    session._consecutive_failures += 1
-                    if (
-                        session._consecutive_failures
-                        >= session.escalate_after
-                    ):
-                        session._escalate()
-        finally:
-            session._replaying = False
+        # Replay each recorded window through the live window path,
+        # detached from the journal, which already holds everything the
+        # replay would write.  A flush record's excluded seqs go down
+        # the poison path without re-running their failed attempts.
+        live_journal, session.journal = session.journal, None
+        for first, last, reason, excluded in state.flushes:
+            window = [
+                SequencedModifier(seq, state.modifiers.pop(seq))
+                for seq in range(first, last + 1)
+            ]
+            session._apply_window(window, reason, frozenset(excluded))
+        session.journal = live_journal
 
         # Re-enqueue the unflushed suffix in original order.
         for seq in sorted(state.modifiers):

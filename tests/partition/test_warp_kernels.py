@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, circuit_graph
 from repro.gpusim import GpuContext
+from repro.obs import Tracer, span
 from repro.partition.refine import connectivity_matrix
 from repro.partition.unionfind import select_neighbors
 from repro.partition.warp_kernels import (
@@ -104,11 +105,12 @@ class TestConnectivityMatrixWarp:
     def test_charges_context(self):
         csr = circuit_graph(60, 1.5, seed=5)
         ctx = GpuContext()
-        ctx.ledger.enable_trace()
-        connectivity_matrix_warp(
-            ctx, csr, np.zeros(60, dtype=np.int64), 2
-        )
-        names = {r.name for r in ctx.ledger.kernel_trace}
+        tracer = Tracer(ledger=ctx.ledger)
+        with tracer.activate(), span("connectivity"):
+            connectivity_matrix_warp(
+                ctx, csr, np.zeros(60, dtype=np.int64), 2
+            )
+        names = {e.name for e in tracer.events if e.kind == "kernel"}
         assert "refine-gains" in names
         assert ctx.ledger.total.warp_instructions > 0
 

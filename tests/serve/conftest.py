@@ -11,9 +11,9 @@ def clean_mods():
     """``clean_mods(spec, n, start=0)``: ``n`` insert-only edges absent
     from the graph ``spec`` builds, never repeating.
 
-    Replay cost accounting is exact only for such poison-free streams:
-    a quarantined modifier is real work that recovery and failover
-    intentionally do not replay.
+    Replay cost accounting is exact for such poison-free streams: a
+    degraded window's failed forward attempts are real work that
+    recovery and failover intentionally do not re-run.
     """
 
     def make(spec, n, start=0):

@@ -155,34 +155,47 @@ def _assert_pre_or_post(recovered):
     return pre_fp, post_fp
 
 
+def _poisoned(op):
+    """(history, pending, submitted) of a naive stream: its repeated
+    and pre-existing edges are quarantined.  Three modifiers on the 5
+    pending, under the size target of 9: no flush fires, so all three
+    records go out in one write and a kill can land only before or
+    after it."""
+    submitted = (
+        [EdgeInsert(u=3, v=77)] if op == "submit" else _mods(3, start=17)
+    )
+    return _mods(12), _mods(5, start=12), submitted
+
+
 class TestCrashMatrix:
     @pytest.mark.parametrize("op", sorted(FIRST_WRITE))
     def test_recovery_is_pre_or_post_op(self, tmp_path, op):
-        # A naive stream: its repeated and pre-existing edges are
-        # quarantined.  Three modifiers on the 5 pending, under the size
-        # target of 9: no flush fires, so all three records go out in
-        # one write and a kill can land only before or after it.
-        submitted = (
-            [EdgeInsert(u=3, v=77)]
-            if op == "submit"
-            else _mods(3, start=17)
-        )
         recovered, _pre, _post = _kill_points(
-            tmp_path, op, _mods(12), _mods(5, start=12), submitted
+            tmp_path, op, *_poisoned(op)
         )
         _assert_pre_or_post(recovered)
 
-    @pytest.mark.parametrize("op", sorted(FIRST_WRITE))
+    @pytest.mark.parametrize(
+        "op,poisoned",
+        [pytest.param(op, False, id=op) for op in sorted(FIRST_WRITE)]
+        + [
+            pytest.param(op, True, id=f"{op}-poisoned")
+            for op in sorted(FIRST_WRITE)
+        ],
+    )
     def test_recovered_cycles_are_pre_or_post_op(
-        self, tmp_path, op, clean_mods
+        self, tmp_path, op, poisoned, clean_mods
     ):
-        # Poison-free (see conftest.clean_mods): a poisoned flush
-        # retries its quarantine after the flush record, and replay
-        # does not re-run retries, so a kill between the two would
-        # land between the two cycle figures.
-        stream = clean_mods(SPEC, 20)
+        # The poisoned stream's flush quarantines and retries after its
+        # flush record; replay runs the same window path, retry
+        # included, so its kill points land on a live figure too.
+        if poisoned:
+            parts = _poisoned(op)
+        else:
+            stream = clean_mods(SPEC, 20)
+            parts = stream[:12], stream[12:17], stream[17:]
         recovered, pre_cycles, post_cycles = _kill_points(
-            tmp_path, op, stream[:12], stream[12:17], stream[17:]
+            tmp_path, op, *parts
         )
         pre_fp, post_fp = _assert_pre_or_post(recovered)
         # Each kill point's lifetime cycles are those of the outcome

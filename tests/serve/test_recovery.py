@@ -3,13 +3,17 @@
 import math
 import shutil
 
+import pytest
+
 from repro.partition.config import PartitionConfig
+from repro.serve.protocol import E_SESSION_EXISTS
 from repro.serve.registry import (
     SessionRegistry,
     build_graph,
     partition_sha256,
 )
 from repro.stream.session import StreamSession
+from repro.utils.errors import ServeError
 
 SPEC = {
     "generator": "circuit",
@@ -27,6 +31,14 @@ def _fingerprint(entry):
         entry.session.queue.next_seq,
         entry.session.applied_seq,
     )
+
+
+def _tree(root):
+    """Every path under ``root``, with its bytes (None for a directory)."""
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
 
 
 class TestRecoverEntries:
@@ -115,14 +127,43 @@ class TestRecoverEntries:
         reference.close()
         fresh.close()
 
-    def test_existing_entries_skipped(self, tmp_path):
+    def test_directory_with_an_invalid_name_not_recovered(self, tmp_path):
+        # No op can name such a tenant, so its checkpoint is not
+        # revived under it.
         registry = SessionRegistry(tmp_path / "d", workers=1)
         registry.create("t", "s", SPEC, k=2)
         registry.close()
+        shutil.copytree(tmp_path / "d" / "t", tmp_path / "d" / ".t")
 
         fresh = SessionRegistry(tmp_path / "d", workers=1)
-        fresh.create("t", "s", SPEC, k=2)
-        assert fresh.recover_entries() == []
+        assert [e.key for e in fresh.recover_entries()] == [("t", "s")]
+
+    def test_create_over_a_checkpoint_refused(self, tmp_path, clean_mods):
+        # Registry A's session crashes with 5 modifiers queued; a
+        # registry started without recovery must not create over it.
+        data_dir = tmp_path / "d"
+        crashed = SessionRegistry(data_dir, workers=1).create(
+            "t", "s", SPEC, k=3, seed=4
+        )
+        crashed.session.submit_many(clean_mods(SPEC, 5))
+        assert crashed.session.queue.depth == 5
+        crashed.session.journal.close()  # the crash: no checkpoint
+        tree = _tree(data_dir)
+
+        registry = SessionRegistry(data_dir, workers=1)
+        with pytest.raises(ServeError) as exc:
+            registry.create("t", "s", SPEC, k=3, seed=4)
+        assert exc.value.code == E_SESSION_EXISTS
+        assert "--recover" in str(exc.value)
+        assert len(registry) == 0
+        assert _tree(data_dir) == tree
+
+        (entry,) = SessionRegistry(data_dir, workers=1).recover_entries()
+        assert entry.session.queue.depth == 5
+        assert entry.session.queue.next_seq == 5
+        assert partition_sha256(
+            entry.session.partition
+        ) == partition_sha256(crashed.session.partition)
 
     def test_recovery_idempotent(self, tmp_path):
         registry = SessionRegistry(tmp_path / "d", workers=2)

@@ -136,6 +136,20 @@ class TestLifecycle:
         assert partition_sha256(ref.session.partition) == final_evicted
         other.close()
 
+    def test_evict_then_attach_keeps_checkpoint_count(self, tmp_path):
+        # A checkpoint's saved telemetry counts that checkpoint, so the
+        # exported counter does not step back on re-attach.
+        registry = _registry(tmp_path)
+        entry = registry.create("t", "s", SPEC, k=2)
+        entry.session.checkpoint()
+        entry.session.checkpoint()
+        suspended = entry.session
+        registry.evict("t", "s")
+        assert suspended.telemetry.checkpoints_written == 4
+        revived = registry.attach("t", "s")
+        assert revived.session.telemetry.checkpoints_written == 4
+        registry.close()
+
     def test_suspended_session_object_rejects_use(self, tmp_path):
         registry = _registry(tmp_path)
         entry = registry.create("t", "s", SPEC, k=2)

@@ -82,6 +82,19 @@ class TestOps:
             )
         assert exc.value.code == "bad-request"
 
+    def test_invalid_tenant_names_create_no_account(self, client):
+        client.create("s", SPEC, k=2)
+        for i in range(3):
+            with pytest.raises(ServeError) as exc:
+                client.call(
+                    "create", tenant=f"../x{i}", session="s", graph=SPEC, k=2
+                )
+            assert exc.value.code == "bad-request"
+        with pytest.raises(ServeError) as exc:
+            client.call("metrics", tenant="../x3")
+        assert exc.value.code == "bad-request"
+        assert client.stats()["tenants"] == ["t"]
+
     def test_errors_do_not_poison_the_connection(self, client):
         with pytest.raises(ServeError):
             client.call("frobnicate")

@@ -2,6 +2,7 @@
 the ledger a recovery replays after a re-partition."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -75,6 +76,30 @@ def fresh_edges(graph, rng, count, taken):
             taken.add((v, u))
             mods.append(EdgeInsert(u, v))
     return mods
+
+
+def crash_after_next_flush_record(session, snapshot):
+    """Copy the session's journal directory to ``snapshot`` right after
+    its next flush record: what a kill before that window's barrier
+    checkpoint leaves on disk."""
+    journal = session.journal
+    log_flush = journal.log_flush
+
+    def logged(*args, **kwargs):
+        log_flush(*args, **kwargs)
+        journal.log_flush = log_flush
+        shutil.copytree(journal.directory, snapshot)
+
+    journal.log_flush = logged
+
+
+def relative_quarantine(session):
+    """(seq, attempts, relative retry deadline) of each entry."""
+    now = ledger_cycles(session.partitioner.ctx.ledger)
+    return [
+        (e["s"], e["a"], e["d"])
+        for e in session.quarantine.as_meta(now)["entries"]
+    ]
 
 
 def make_session(tmp_path=None, **overrides):
@@ -295,7 +320,7 @@ class TestDegradedRecovery:
         live = session.metrics()
         assert live["quarantine_pending"] == 1
         # Crash without close(): the degraded window forced a
-        # checkpoint, so recovery replays the recorded decisions.
+        # checkpoint, so recovery starts from its outcome.
         session.journal.close()
 
         recovered = StreamSession.recover(tmp_path / "journal")
@@ -316,5 +341,58 @@ class TestDegradedRecovery:
             + metrics["dead_lettered"]
             + metrics["quarantine_pending"]
             + metrics["queue_depth"]
+        )
+        recovered.close()
+
+    def _killed_before_barrier(self, tmp_path, copies):
+        """(live session, recovery of a kill between its degraded
+        window's flush record and barrier checkpoint); the window holds
+        ``copies`` of one poison insert among healthy ones."""
+        session = make_session(tmp_path, quarantine_backoff_cycles=1e6)
+        crash_after_next_flush_record(session, tmp_path / "killed")
+        injector = FaultInjector(seed=5)
+        rng = np.random.default_rng(6)
+        graph = session.partitioner.graph
+        poison = injector.duplicate_edge(graph)
+        taken = set()
+        for mod in fresh_edges(graph, rng, 3, taken):
+            session.submit(mod)
+        for _ in range(copies):
+            session.submit(poison)
+        for mod in fresh_edges(graph, rng, 3, taken):
+            session.submit(mod)
+        (report,) = session.drain()
+        assert report.quarantined_count == 1
+        recovered = StreamSession.recover(tmp_path / "killed")
+        assert np.array_equal(recovered.partition, session.partition)
+        return session, recovered
+
+    def test_kill_before_barrier_checkpoint_keeps_live_deadlines(
+        self, tmp_path
+    ):
+        # The replayed window re-quarantines its poison at the clock
+        # read after the apply, as the live window did.
+        session, recovered = self._killed_before_barrier(tmp_path, 1)
+        live = relative_quarantine(session)
+        replayed = relative_quarantine(recovered)
+        assert [e[:2] for e in replayed] == [e[:2] for e in live]
+        assert [e[2] for e in replayed] == pytest.approx(
+            [e[2] for e in live], rel=1e-9
+        )
+        recovered.close()
+
+    def test_poison_submitted_twice_in_one_window_replays_once(
+        self, tmp_path
+    ):
+        # Coalescing folds the second copy away; replay must not apply
+        # it after excluding the first.
+        session, recovered = self._killed_before_barrier(tmp_path, 2)
+        assert sorted(recovered.quarantine.entries) == sorted(
+            session.quarantine.entries
+        )
+        for key in ("quarantined", "batch_failures"):
+            assert recovered.metrics()[key] == session.metrics()[key]
+        assert recovered._consecutive_failures == (
+            session._consecutive_failures
         )
         recovered.close()

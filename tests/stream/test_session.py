@@ -5,6 +5,8 @@ mid-stream, recover it, finish the trace — final cut AND partition
 vector must equal the uninterrupted run's exactly.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,48 @@ class TestCrashRecovery:
         )
         assert recovered.telemetry.recoveries == 1
         assert recovered.telemetry.ingested == len(stream)
+        recovered.close()
+
+    @pytest.mark.parametrize("killed_after", [6, 8])
+    def test_recovered_run_checkpoints_after_the_same_flushes(
+        self, small_circuit, tmp_path, killed_after
+    ):
+        # Replayed flushes count toward checkpoint_every as the live
+        # ones did.  Windows are 12 modifiers; with checkpoint_every=4,
+        # a kill after flush 6's record lands between two periodic
+        # checkpoints, one after flush 8's before its checkpoint.
+        stream = _churn_stream(small_circuit)
+        session = _session(
+            small_circuit, tmp_path, target=12, checkpoint_every=4
+        )
+        session.start()
+        log_flush = session.journal.log_flush
+
+        def logged(*args, **kwargs):
+            log_flush(*args, **kwargs)
+            if session.telemetry.batches == killed_after:
+                shutil.copytree(tmp_path / "j", tmp_path / "killed")
+
+        session.journal.log_flush = logged
+        cut = 12 * killed_after
+        for mod in stream[:cut]:
+            session.submit(mod)
+        # The session itself runs on uncrashed.
+        recovered = StreamSession.recover(tmp_path / "killed")
+
+        def checkpoint_marks(run):
+            marks = []
+            run.on_checkpoint = lambda: marks.append(run.applied_seq)
+            return marks
+
+        expected = checkpoint_marks(session)
+        marks = checkpoint_marks(recovered)
+        for mod in stream[cut:]:
+            session.submit(mod)
+            recovered.submit(mod)
+        assert marks == expected
+        assert len(marks) >= 1
+        session.close()
         recovered.close()
 
     def test_recover_after_clean_close_matches(

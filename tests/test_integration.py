@@ -20,6 +20,7 @@ from repro.graph import (
     write_metis,
 )
 from repro.gpusim import GpuContext
+from repro.obs import Tracer, span
 from repro.partition import cut_size_csr
 
 
@@ -53,7 +54,6 @@ class TestProfiledAdaptiveSession:
     def test_trace_covers_fallback_kernels(self):
         csr = circuit_graph(500, 1.4, seed=3)
         ctx = GpuContext()
-        ctx.ledger.enable_trace()
         adaptive = AdaptiveIGKway(
             csr,
             PartitionConfig(k=2, seed=3),
@@ -65,14 +65,19 @@ class TestProfiledAdaptiveSession:
             csr,
             TraceConfig(iterations=2, modifiers_per_iteration=20, seed=4),
         )
-        for batch in trace:
-            adaptive.apply(batch)
+        # Kernels are aggregated under the innermost open span, so the
+        # loop runs under one: the fallback's FGP kernels are recorded.
+        tracer = Tracer(ledger=ctx.ledger)
+        with tracer.activate(), span("session"):
+            for batch in trace:
+                adaptive.apply(batch)
         assert adaptive.fallbacks_taken >= 1
-        names = {r.name for r in ctx.ledger.kernel_trace}
-        # Incremental kernels and FGP kernels both appear.
+        kernels = [e for e in tracer.events if e.kind == "kernel"]
+        names = {e.name for e in kernels}
+        # Incremental kernels and the fallback's FGP kernels both appear.
         assert "apply-modifiers" in names
         assert "uf-match" in names
-        sections = {r.section for r in ctx.ledger.kernel_trace}
+        sections = {e.section for e in kernels}
         assert {"modification", "partitioning"} <= sections
 
 
