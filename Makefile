@@ -13,12 +13,12 @@ check: test leak-check perf-gate chaos-smoke analysis-gate obs-gate serve-gate
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Checkpoint, journal, batched-ingest and server-shutdown tests under
-## -X dev, failing on any file left open or any exception raised where
-## nothing can catch it (pytest's own -W, because pytest overrides the
-## interpreter's).
+## Checkpoint, journal, session crash-recovery, quarantine,
+## batched-ingest and server-shutdown tests under -X dev, failing on any
+## file left open or any exception raised where nothing can catch it
+## (pytest's own -W, because pytest overrides the interpreter's).
 leak-check:
-	$(PYTHON) -X dev -m pytest -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning tests/core/test_serialize.py tests/stream/test_journal.py tests/stream/test_submit_many.py tests/serve/test_shutdown.py
+	$(PYTHON) -X dev -m pytest -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning tests/core/test_serialize.py tests/stream/test_journal.py tests/stream/test_session.py tests/stream/test_quarantine.py tests/stream/test_submit_many.py tests/serve/test_shutdown.py
 
 perf-gate:
 	$(PYTHON) tools/perf_gate.py

@@ -104,11 +104,11 @@ class GpuContext:
     ) -> None:
         """Charge a grid where every warp does the same amount of work.
 
-        The compute cost serializes over waves: only ``resident_warps``
-        warps make progress at a time, so the effective instruction count
-        is ``waves * instructions_per_warp * resident_warps`` capped by the
-        actual totals.  Memory transactions are bandwidth-bound and simply
-        sum.
+        The grid charges ``max(n_warps * instructions_per_warp,
+        instructions_per_warp * sm_count)`` instructions: throughput-bound
+        at its total, but never cheaper than one warp's critical path,
+        which counts ``sm_count``-fold against device throughput.  Memory
+        transactions are bandwidth-bound and simply sum.
         """
         if n_warps <= 0:
             return

@@ -5,11 +5,13 @@
 
 * charges one kernel launch,
 * overlaps compute and memory per kernel (via the ledger's kernel scope),
-* converts the *sum* of per-warp instruction counts into the device-serial
-  cost ``max(ceil(sum / resident_warps), longest_warp)`` — i.e. warps run
-  concurrently across SMs, limited by the slowest warp (critical path) and
-  by device occupancy.  This matches how the paper's dynamic warp
-  assignment from a centralized buffer balances irregular work.
+* re-prices the *sum* of per-warp instruction counts for parallel
+  execution as ``max(sum, longest_warp * sm_count)`` — i.e. warps run
+  concurrently, so the grid is throughput-bound at the instruction total
+  but never cheaper than its critical path (the slowest warp alone on one
+  SM, which counts ``sm_count``-fold against device throughput).  This
+  matches how the paper's dynamic warp assignment from a centralized
+  buffer balances irregular work.
 
 The vectorized kernels in :mod:`repro.core` do not use this module's
 per-warp loop; they charge the identical counts in bulk through

@@ -59,7 +59,7 @@ from repro.partition.config import PartitionConfig
 from repro.stream.journal import StreamJournal, fsync_directory
 from repro.stream.scheduler import SchedulerConfig, ledger_cycles
 from repro.stream.session import StreamSession
-from repro.utils.errors import ServeError
+from repro.utils.errors import JournalError, ServeError
 from repro.serve.protocol import (
     E_BAD_REQUEST,
     E_SESSION_EXISTS,
@@ -323,7 +323,8 @@ class SessionRegistry:
         record, before this returns (and so before the ack).  A crash
         earlier leaves no checkpoint: the session is absent after
         recovery, and the client, which never saw the ack, retries.
-        A directory that already holds a checkpoint is refused with
+        A directory that already holds a checkpoint, which
+        :class:`StreamSession` refuses, is refused with
         ``session-exists``: it belongs to a session this registry has
         not recovered, whose journal a new session must not inherit.
         """
@@ -336,29 +337,30 @@ class SessionRegistry:
                 code=E_SESSION_EXISTS,
             )
         journal_dir = self.data_dir / tenant / name
-        if journal_dir.is_dir() and StreamJournal(journal_dir).exists():
+        csr = build_graph(graph_spec)  # validate before touching disk
+        worker = self._assign_worker(self._created)
+        new_tenant = not journal_dir.parent.exists()
+        try:
+            # repro-lint: allow[wal-after-ack] a create's durable record is its session's first checkpoint, so the session exists before it; start() writes it before the ack
+            session = StreamSession(
+                csr,
+                PartitionConfig(k=k, seed=seed),
+                journal_dir=journal_dir,
+                queue_capacity=queue_capacity,
+                policy=policy,
+                scheduler=(
+                    SchedulerConfig(target_batch_size=target_batch_size)
+                    if target_batch_size is not None
+                    else None
+                ),
+            )
+        except JournalError as err:
             raise ServeError(
                 f"{journal_dir} holds a checkpoint of session {name!r} "
                 f"of tenant {tenant!r}: restart the server with "
                 "--recover to revive it",
                 code=E_SESSION_EXISTS,
-            )
-        csr = build_graph(graph_spec)  # validate before touching disk
-        worker = self._assign_worker(self._created)
-        new_tenant = not journal_dir.parent.exists()
-        # repro-lint: allow[wal-after-ack] a create's durable record is its session's first checkpoint, so the session exists before it; start() writes it before the ack
-        session = StreamSession(
-            csr,
-            PartitionConfig(k=k, seed=seed),
-            journal_dir=journal_dir,
-            queue_capacity=queue_capacity,
-            policy=policy,
-            scheduler=(
-                SchedulerConfig(target_batch_size=target_batch_size)
-                if target_batch_size is not None
-                else None
-            ),
-        )
+            ) from err
         entry = SessionEntry(
             tenant=tenant,
             name=name,

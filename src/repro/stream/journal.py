@@ -19,24 +19,25 @@ Crash model: the process can die at any point.  Recovery then
 3. re-enqueues the logged-but-never-flushed suffix into the ingest
    queue.
 
-A torn final line (the write the crash interrupted) is tolerated and
-discarded; everything before it is trusted.  The first open for
-appending after construction (or an explicit :meth:`~StreamJournal.close`)
-truncates that torn tail (:func:`trim_torn_tail`) so a post-crash
-append can never merge a valid record onto the interrupted one —
-without the trim, every record after the tear would be silently
-discarded on the *next* recovery.  Checkpointing compacts the log,
+A line of ``journal.log`` is committed when it ends in the newline
+:func:`_dumps` writes as the commit marker and holds a JSON object with
+an ``"r"`` field.  Blank lines are skipped; the first line that is not
+committed is the torn tail a crash left, and nothing at or after it is
+trusted.  One scan, :func:`_committed_lines`, applies that rule for
+every reader: :meth:`StreamJournal.load` decodes the committed records,
+compaction filters them, and the first open for appending after
+construction or :meth:`~StreamJournal.close` truncates the file to
+their byte length, so a post-crash append lands right after the last
+record the next recovery reads.  Checkpointing compacts the log,
 dropping records at or below the new cursor so the journal stays
 proportional to the un-checkpointed window, not the stream's lifetime;
 the kept lines are copied verbatim, and the reopen after compaction
-skips the trim (compaction leaves only complete lines).  Compaction
-does not parse the lines the writer formats: one compiled full-line
-pattern (``_WRITER_LINE``) recognises ``"m"`` and ``"f"`` lines and
-reads their sequence number, and it accepts nothing ``json.loads``
-would reject.  Any other line — a dead letter, a record with a non-int
-field, one written by hand — is parsed, so blank lines, the torn tail
-and dead letters are treated exactly as :meth:`StreamJournal.load`
-treats them.
+does not truncate.  The scan classifies the lines the writer formats
+without parsing them: one compiled full-line pattern (``_WRITER_LINE``)
+recognises ``"m"`` and ``"f"`` lines and reads their sequence number,
+and it accepts nothing ``json.loads`` would reject.  Any other line — a
+dead letter, a record with a non-int field, one written by hand — is
+parsed.
 
 Write cost: :meth:`StreamJournal.log_modifiers` takes every modifier a
 submit accepted between two flush triggers and appends their ``"m"``
@@ -176,41 +177,6 @@ def decode_modifier(record: dict) -> Modifier:
     raise JournalError(f"unknown journaled modifier kind {kind!r}")
 
 
-def trim_torn_tail(path: "str | Path") -> int:
-    """Truncate ``path`` to its last complete JSON-object line.
-
-    The tail is *torn* when the final line is missing its newline or is
-    not a parseable JSON object — exactly what a crash mid-append
-    leaves behind.  Returns the number of bytes removed (0 when the
-    file is clean or absent).  Must run before any post-crash append:
-    an append-mode write would otherwise glue the new record onto the
-    torn line, corrupting a record that was durably logged.
-    """
-    path = Path(path)
-    if not path.exists():
-        return 0
-    with path.open("rb") as handle:
-        data = handle.read()
-    keep = 0
-    for line in data.splitlines(keepends=True):
-        if not line.endswith(b"\n"):
-            break
-        stripped = line.strip()
-        if stripped:
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break
-            if not isinstance(record, dict):
-                break
-        keep += len(line)
-    removed = len(data) - keep
-    if removed:
-        with path.open("rb+") as handle:
-            handle.truncate(keep)
-    return removed
-
-
 def fsync_directory(directory: "str | Path") -> None:
     """Make the entries created or renamed in ``directory`` durable;
     best-effort on filesystems that reject directory fsync."""
@@ -226,16 +192,48 @@ def fsync_directory(directory: "str | Path") -> None:
         os.close(fd)
 
 
-def _parse_record(line: str) -> Optional[dict]:
-    """The record on a stripped, non-blank log line; ``None`` where a
-    torn tail begins (not JSON, or no ``"r"`` field)."""
+def _committed_lines(
+    path: Path,
+) -> Tuple[List[Tuple[str, object, Optional[int]]], int]:
+    """The committed records of the log at ``path`` (none if it is
+    missing) as ``(line, kind, seq)`` — the stripped line, its ``"r"``
+    value and the seq compaction compares with the cursor (``s`` of an
+    ``"m"`` record, ``b`` of an ``"f"``, else ``None``) — and the byte
+    length of the prefix they and the blank lines among them span."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if "r" not in record:
-        return None
-    return record
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    records: List[Tuple[str, object, Optional[int]]] = []
+    size = 0
+    # The piece after the last newline is uncommitted by definition.
+    for raw in data.split(b"\n")[:-1]:
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            break
+        if line:
+            match = _WRITER_LINE.fullmatch(line)
+            if match is not None:
+                m_seq, f_seq = match.groups()
+                kind = "m" if m_seq is not None else "f"
+                records.append((line, kind, int(m_seq or f_seq)))
+            else:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    break
+                if not isinstance(record, dict) or "r" not in record:
+                    break
+                kind = record["r"]
+                seq = (
+                    record["s"] if kind == "m"
+                    else record["b"] if kind == "f"
+                    else None
+                )
+                records.append((line, kind, seq))
+        size += len(raw) + 1
+    return records, size
 
 
 @dataclass
@@ -268,12 +266,13 @@ class StreamJournal:
     """Append-only modifier log plus periodic partitioner checkpoints."""
 
     def __init__(self, directory: "str | Path"):
+        # Created by the first write, so a read-only use (load, exists)
+        # of a mistyped path leaves nothing behind.
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._log: Optional[TextIO] = None
-        # Whether the next open-for-append must trim a torn tail: set at
+        # Whether the next open-for-append must cut a torn tail: set at
         # construction and by close(), cleared once this object has
-        # trimmed the log or rewritten it by compaction.
+        # cut the log or rewritten it by compaction.
         self._trim_on_open = True
         # Cursors of the on-disk checkpoints, when this object knows
         # them (None = unknown, e.g. a fresh object over an existing
@@ -305,13 +304,18 @@ class StreamJournal:
 
     def _handle(self) -> TextIO:
         if self._log is None:
-            if self._trim_on_open:
-                # First open-for-append since construction or close():
-                # drop any crash-torn tail so new records land on a
-                # clean boundary.
-                trim_torn_tail(self.log_path)
-                self._trim_on_open = False
+            self.directory.mkdir(parents=True, exist_ok=True)
+            # The first open since construction or close() cuts any
+            # crash-torn tail, so new records land on a clean boundary.
+            committed = (
+                _committed_lines(self.log_path)[1]
+                if self._trim_on_open
+                else None
+            )
             self._log = self.log_path.open("a", encoding="utf-8")
+            if committed is not None and self._log.tell() > committed:
+                self._log.truncate(committed)
+            self._trim_on_open = False
         return self._log
 
     def _write(self, text: str) -> None:
@@ -381,6 +385,7 @@ class StreamJournal:
         meta = dict(meta)
         meta.setdefault("journal_format", JOURNAL_FORMAT)
         new_cursor = int(meta.get("applied_seq", -1))
+        self.directory.mkdir(parents=True, exist_ok=True)
         tmp = self.directory / (CHECKPOINT_NAME + ".tmp.npz")
         save_partitioner(partitioner, tmp, stream_meta=meta)
         with tmp.open("rb") as handle:
@@ -402,64 +407,30 @@ class StreamJournal:
     def _compact(self, applied_seq: int) -> None:
         """Drop journal records fully covered by both checkpoints.
 
-        Each line is classified as :meth:`_read_records` would parse
-        it: an ``"m"`` or ``"f"`` line in the writer's own format by
-        :data:`_WRITER_LINE`, any other line by ``json.loads``.  Blank
-        lines are skipped, and the first line that does not parse to a
-        record is the torn tail, dropped with everything after it.
-        Dead-letter records are kept unconditionally — they are the
-        stream's permanent rejection ledger.
+        Keeps every committed line (:func:`_committed_lines`) verbatim
+        but the ``"m"`` and ``"f"`` records at or below the cursor;
+        the torn tail is dropped.  Dead-letter records are kept
+        unconditionally — they are the stream's permanent rejection
+        ledger.
         """
         if not self.log_path.exists():
             return
         if self._log is not None:
             self._log.close()
             self._log = None
-        # Every line was written as one record, so copying it verbatim
-        # equals re-encoding its parsed record.
-        keep: List[str] = []
-        with self.log_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                match = _WRITER_LINE.fullmatch(line)
-                if match is not None:
-                    if int(match.group(1) or match.group(2)) <= applied_seq:
-                        continue
-                else:
-                    record = _parse_record(line)
-                    if record is None:
-                        break  # torn write: trust nothing at or after it
-                    if record["r"] == "m" and record["s"] <= applied_seq:
-                        continue
-                    if record["r"] == "f" and record["b"] <= applied_seq:
-                        continue
-                keep.append(line + "\n")
+        records, _ = _committed_lines(self.log_path)
+        keep = [
+            line + "\n"
+            for line, _kind, seq in records
+            if seq is None or seq > applied_seq
+        ]
         tmp = self.directory / (LOG_NAME + ".tmp")
         tmp.write_text("".join(keep), encoding="utf-8")
         os.replace(tmp, self.log_path)
-        # The rewritten log holds only complete lines: no tail to trim.
+        # The rewritten log holds only committed lines: nothing to cut.
         self._trim_on_open = False
 
     # -- recovery ------------------------------------------------------------------
-
-    def _read_records(self) -> List[Tuple[str, dict]]:
-        """Parse the log into ``(line, record)`` pairs (``line`` without
-        its newline), discarding the torn tail a crash may leave."""
-        pairs: List[Tuple[str, dict]] = []
-        if not self.log_path.exists():
-            return pairs
-        with self.log_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = _parse_record(line)
-                if record is None:
-                    break  # torn write: trust nothing at or after it
-                pairs.append((line, record))
-        return pairs
 
     def _load_latest_checkpoint(
         self, ctx: GpuContext | None
@@ -500,30 +471,26 @@ class StreamJournal:
         partitioner, meta = self._load_latest_checkpoint(ctx)
         state = JournalState(partitioner=partitioner, meta=meta)
         applied = state.applied_seq
-        for _line, record in self._read_records():
-            if record["r"] == "m":
-                if record["s"] > applied:
-                    state.modifiers[record["s"]] = decode_modifier(record)
-            elif record["r"] == "d":
+        records, _ = _committed_lines(self.log_path)
+        for line, kind, seq in records:
+            if kind == "d":
+                record = json.loads(line)
                 state.dead_letters[record["s"]] = record.get("e", "")
-            elif record["r"] == "f":
-                if record["b"] <= applied:
-                    continue
+            elif seq is None or seq <= applied:
+                continue
+            elif kind == "m":
+                state.modifiers[seq] = decode_modifier(json.loads(line))
+            else:
+                record = json.loads(line)
                 excluded = tuple(record.get("x", ()))
-                for seq in range(record["a"], record["b"] + 1):
-                    if seq > applied and seq not in state.modifiers:
+                for member in range(record["a"], seq + 1):
+                    if member > applied and member not in state.modifiers:
                         raise JournalError(
-                            f"flush record [{record['a']}, "
-                            f"{record['b']}] references unlogged "
-                            f"modifier seq {seq}"
+                            f"flush record [{record['a']}, {seq}] "
+                            f"references unlogged modifier seq {member}"
                         )
                 state.flushes.append(
-                    (
-                        record["a"],
-                        record["b"],
-                        record.get("w", "replay"),
-                        excluded,
-                    )
+                    (record["a"], seq, record.get("w", "replay"), excluded)
                 )
         return state
 

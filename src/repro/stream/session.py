@@ -59,6 +59,7 @@ from repro.stream.telemetry import StreamTelemetry
 from repro.utils.errors import (
     BackpressureError,
     CapacityError,
+    JournalError,
     ModifierError,
     StreamError,
 )
@@ -101,7 +102,10 @@ class StreamSession:
         config: Partitioning configuration.
         ctx: Optional shared GPU context.
         journal_dir: Directory for the recovery journal; None disables
-            durability (no checkpoints, no crash recovery).
+            durability (no checkpoints, no crash recovery).  A
+            directory that holds a checkpoint is refused with
+            :class:`JournalError`: it belongs to another session, which
+            :meth:`recover` revives.
         queue_capacity / policy: Ingest bound and backpressure policy
             (``"block"`` flushes on the producer's behalf; ``"reject"``
             raises :class:`BackpressureError`).
@@ -143,6 +147,12 @@ class StreamSession:
         quarantine_backoff_cycles: float = 1e6,
         escalate_after: int = 3,
     ):
+        if journal_dir is not None and StreamJournal(journal_dir).exists():
+            raise JournalError(
+                f"{journal_dir} holds the checkpoint of another session: "
+                "revive it with StreamSession.recover, or start in an "
+                "empty directory"
+            )
         partitioner = AdaptiveIGKway(
             csr,
             config,

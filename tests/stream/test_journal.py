@@ -1,14 +1,17 @@
 """Recovery journal: encoding, torn tails, compaction, corruption."""
 
+import functools
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import IGKway, PartitionConfig
+from repro.core.serialize import save_partitioner
 from repro.core.transaction import state_digest
 from repro.graph import (
     EdgeDelete,
@@ -16,13 +19,13 @@ from repro.graph import (
     VertexDelete,
     VertexInsert,
 )
+from repro.graph.generators import circuit_graph
 from repro.stream import StreamJournal
 from repro.stream import journal as journal_module
 from repro.stream.journal import (
     decode_modifier,
     encode_modifier,
     modifier_line,
-    trim_torn_tail,
 )
 from repro.utils import JournalError
 
@@ -277,18 +280,64 @@ class TestCompaction:
         journal.close()
 
 
-def _parsing_filter(journal, applied_seq):
-    """The log text compaction kept before it classified lines without
-    parsing: every record :meth:`StreamJournal._read_records` returns,
-    less the ``"m"`` and ``"f"`` records at or below the cursor."""
-    keep = []
-    for line, record in journal._read_records():
-        if record["r"] == "m" and record["s"] <= applied_seq:
+def _commit_rule_records(log):
+    """Every committed ``(line, record)`` of ``log``, each line parsed,
+    and the text before its torn tail: a line is committed when it ends
+    in the newline and holds a JSON object with an ``"r"`` field, blank
+    lines are skipped, and nothing at or after the first other line
+    is."""
+    pairs, prefix = [], []
+    for line in log.split("\n")[:-1]:
+        stripped = line.strip()
+        if stripped:
+            try:
+                record = json.loads(stripped)
+            except json.JSONDecodeError:
+                break
+            if not isinstance(record, dict) or "r" not in record:
+                break
+            pairs.append((stripped, record))
+        prefix.append(line + "\n")
+    return pairs, "".join(prefix)
+
+
+def _covered(record, applied_seq):
+    return (record["r"] == "m" and record["s"] <= applied_seq) or (
+        record["r"] == "f" and record["b"] <= applied_seq
+    )
+
+
+def _parsing_filter(log, applied_seq):
+    """The log text compaction keeps: every committed line, less the
+    ``"m"`` and ``"f"`` records at or below the cursor."""
+    return "".join(
+        line + "\n"
+        for line, record in _commit_rule_records(log)[0]
+        if not _covered(record, applied_seq)
+    )
+
+
+def _parsing_load(log, applied_seq):
+    """``(modifiers, flushes, dead_letters)`` decoded from every
+    committed record, or the :class:`JournalError` message a flush
+    record that names an unlogged modifier raises."""
+    modifiers, flushes, dead_letters = {}, [], {}
+    for _line, record in _commit_rule_records(log)[0]:
+        if record["r"] == "d":
+            dead_letters[record["s"]] = record.get("e", "")
+        elif _covered(record, applied_seq):
             continue
-        if record["r"] == "f" and record["b"] <= applied_seq:
-            continue
-        keep.append(line + "\n")
-    return "".join(keep)
+        elif record["r"] == "m":
+            modifiers[record["s"]] = decode_modifier(record)
+        elif record["r"] == "f":
+            for seq in range(record["a"], record["b"] + 1):
+                if seq > applied_seq and seq not in modifiers:
+                    return f"references unlogged modifier seq {seq}"
+            flushes.append(
+                (record["a"], record["b"], record.get("w", "replay"),
+                 tuple(record.get("x", ())))
+            )
+    return modifiers, flushes, dead_letters
 
 
 _ids = st.integers(-3, 2**40)
@@ -341,7 +390,8 @@ def _logs(draw):
             lines.append(draw(st.sampled_from(
                 ['{"r":"m","s":01,"t":"vd","u":1}\n',
                  '{"r":"f","a":0,"b":-01,"w":"size"}\n',
-                 '{"r":"m","s":\n', "[\n", '{"s":3}\n', "nope\n"]
+                 '{"r":"m","s":\n', "[\n", '{"s":3}\n', '["r"]\n',
+                 "nope\n"]
             )))
             continue
         line = _writer_lines(draw)
@@ -357,8 +407,42 @@ def _logs(draw):
     return "".join(lines)
 
 
+@functools.lru_cache(maxsize=None)
+def _checkpoint_with_cursor(applied_seq):
+    """The bytes of a checkpoint of one small partition, with cursor
+    ``applied_seq``."""
+    ig = IGKway(circuit_graph(120, edge_ratio=1.4, seed=11),
+                PartitionConfig(k=2, seed=2))
+    ig.full_partition()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.npz"
+        save_partitioner(
+            ig, path, stream_meta={"applied_seq": applied_seq}
+        )
+        return path.read_bytes()
+
+
+#: Two committed records, then a whole record the crash left without
+#: its newline commit marker.
+_UNTERMINATED = (
+    modifier_line(0, EdgeInsert(0, 9))
+    + modifier_line(1, EdgeInsert(0, 10))
+    + modifier_line(2, EdgeInsert(0, 11))[:-1]
+)
+#: A JSON value that is not an object, or an object without an "r"
+#: field, ends the committed prefix.
+_NOT_AN_OBJECT = (
+    modifier_line(0, EdgeInsert(0, 9))
+    + '["r"]\n'
+    + modifier_line(1, EdgeInsert(0, 10))
+)
+_NO_R_FIELD = _NOT_AN_OBJECT.replace('["r"]', '{"s":3}')
+
+
 class TestCompactionFilter:
     @given(log=_logs(), applied_seq=st.integers(-3, 42))
+    @example(log=_UNTERMINATED, applied_seq=-1)
+    @example(log=_NOT_AN_OBJECT, applied_seq=-1)
     @settings(max_examples=300, deadline=None)
     def test_compact_keeps_what_the_parsing_filter_keeps(
         self, log, applied_seq
@@ -366,8 +450,46 @@ class TestCompactionFilter:
         with tempfile.TemporaryDirectory() as tmp:
             journal = StreamJournal(tmp)
             journal.log_path.write_text(log, encoding="utf-8")
-            expected = _parsing_filter(journal, applied_seq)
+            expected = _parsing_filter(log, applied_seq)
             journal._compact(applied_seq)
+            assert journal.log_path.read_bytes() == expected.encode("utf-8")
+
+    @given(log=_logs(), applied_seq=st.integers(-3, 42))
+    @example(log=_UNTERMINATED, applied_seq=-1)
+    @example(log=_NOT_AN_OBJECT, applied_seq=-1)
+    @settings(max_examples=100, deadline=None)
+    def test_load_decodes_what_the_parsing_filter_keeps(
+        self, log, applied_seq
+    ):
+        checkpoint = _checkpoint_with_cursor(applied_seq)
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = StreamJournal(tmp)
+            journal.checkpoint_path.write_bytes(checkpoint)
+            journal.log_path.write_text(log, encoding="utf-8")
+            expected = _parsing_load(log, applied_seq)
+            if isinstance(expected, str):
+                with pytest.raises(JournalError, match=expected):
+                    journal.load()
+                return
+            state = journal.load()
+            assert state.applied_seq == applied_seq
+            assert (
+                state.modifiers, state.flushes, state.dead_letters
+            ) == expected
+
+    @given(log=_logs())
+    @example(log=_UNTERMINATED)
+    @example(log=_NOT_AN_OBJECT)
+    @example(log=_NO_R_FIELD)
+    @settings(max_examples=100, deadline=None)
+    def test_first_append_lands_after_the_committed_prefix(self, log):
+        line = modifier_line(7, EdgeInsert(1, 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = StreamJournal(tmp)
+            journal.log_path.write_text(log, encoding="utf-8")
+            journal.log_modifiers([(7, EdgeInsert(1, 2))])
+            journal.close()
+            expected = _commit_rule_records(log)[1] + line
             assert journal.log_path.read_bytes() == expected.encode("utf-8")
 
     def test_writer_lines_take_the_pattern(self):
@@ -396,14 +518,16 @@ class TestCompactionFilter:
 class TestTrimOnOpen:
     @pytest.fixture
     def trim_calls(self, monkeypatch):
+        """The paths the log scan reads: one per first open for append
+        after construction or close(), one per compaction."""
         calls = []
-        real = journal_module.trim_torn_tail
+        real = journal_module._committed_lines
 
         def counting(path):
             calls.append(path)
             return real(path)
 
-        monkeypatch.setattr(journal_module, "trim_torn_tail", counting)
+        monkeypatch.setattr(journal_module, "_committed_lines", counting)
         return calls
 
     def test_reopen_after_compaction_skips_trim(
@@ -415,8 +539,9 @@ class TestTrimOnOpen:
         assert len(trim_calls) == 1  # first open after construction
         journal.log_flush(0, 0, "size")
         journal.write_checkpoint(partitioner, {"applied_seq": 0})
+        assert len(trim_calls) == 2  # the compaction
         journal.log_modifiers([(1, EdgeInsert(0, 10))])
-        assert len(trim_calls) == 1
+        assert len(trim_calls) == 2
         journal.close()
 
     def test_new_journal_on_torn_log_still_trims(
@@ -536,36 +661,53 @@ class TestTrimTornTail:
         journal.close()
         return journal
 
+    def _append_after_crash(self, tmp_path):
+        fresh = StreamJournal(tmp_path / "j")
+        fresh.log_modifiers([(2, EdgeInsert(3, 14))])
+        fresh.close()
+        return _record_line(2, EdgeInsert(3, 14)).encode("utf-8")
+
     def test_clean_file_untouched(self, partitioner, tmp_path):
         journal = self._log_two(partitioner, tmp_path)
         before = journal.log_path.read_bytes()
-        assert trim_torn_tail(journal.log_path) == 0
-        assert journal.log_path.read_bytes() == before
+        assert journal_module._committed_lines(journal.log_path)[1] == len(
+            before
+        )
+        line = self._append_after_crash(tmp_path)
+        assert journal.log_path.read_bytes() == before + line
 
     def test_missing_file_is_zero(self, tmp_path):
-        assert trim_torn_tail(tmp_path / "absent.log") == 0
+        assert journal_module._committed_lines(tmp_path / "absent.log") == (
+            [],
+            0,
+        )
 
     def test_reports_bytes_removed(self, partitioner, tmp_path):
         journal = self._log_two(partitioner, tmp_path)
+        before = journal.log_path.read_bytes()
         torn = '{"r":"m","s":2,"t":"ei","u":0,'
         with journal.log_path.open("a") as handle:
             handle.write(torn)
-        assert trim_torn_tail(journal.log_path) == len(torn)
-        # Idempotent: the file is clean now.
-        assert trim_torn_tail(journal.log_path) == 0
+        assert journal_module._committed_lines(journal.log_path)[1] == len(
+            before
+        )
+        line = self._append_after_crash(tmp_path)
+        assert journal.log_path.read_bytes() == before + line
 
     def test_unterminated_valid_json_is_torn(
         self, partitioner, tmp_path
     ):
         # A complete JSON object with no trailing newline is still a
-        # torn append: the newline is the commit marker.
+        # torn append: the newline is the commit marker.  load() drops
+        # it without an append first, as the append's cut does.
         journal = self._log_two(partitioner, tmp_path)
-        line = '{"r":"m","s":2,"t":"ei","u":0,"v":11}'
+        before = journal.log_path.read_bytes()
         with journal.log_path.open("a") as handle:
-            handle.write(line)
-        assert trim_torn_tail(journal.log_path) == len(line)
+            handle.write('{"r":"m","s":2,"t":"ei","u":0,"v":11}')
         state = StreamJournal(tmp_path / "j").load()
         assert sorted(state.modifiers) == [0, 1]
+        line = self._append_after_crash(tmp_path)
+        assert journal.log_path.read_bytes() == before + line
 
     def test_append_after_torn_tail_does_not_merge(
         self, partitioner, tmp_path
@@ -575,9 +717,7 @@ class TestTrimTornTail:
             handle.write('{"r":"m","s":2,"t":"ei","u":0,')
         # A recovered process appends: the torn line must be truncated
         # first, or the new record glues onto the half-written one.
-        fresh = StreamJournal(tmp_path / "j")
-        fresh.log_modifiers([(2, EdgeInsert(3, 14))])
-        fresh.close()
+        self._append_after_crash(tmp_path)
         state = StreamJournal(tmp_path / "j").load()
         assert state.modifiers[2] == EdgeInsert(3, 14)
         assert sorted(state.modifiers) == [0, 1, 2]

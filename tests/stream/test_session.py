@@ -13,9 +13,14 @@ import pytest
 from repro.eval.workloads import TraceConfig, generate_trace
 from repro.graph import EdgeDelete, EdgeInsert, HostGraph
 from repro.partition import PartitionConfig
+from repro.serve.registry import partition_sha256
 from repro.stream import SchedulerConfig, StreamSession
-from repro.utils import BackpressureError, StreamError
+from repro.stream.cli import main as stream_cli
+from repro.utils import BackpressureError, JournalError, StreamError
 from repro.utils.seeding import make_rng
+
+#: Edge inserts that are healthy on ``small_circuit``, in any order.
+_FRESH_EDGES = [EdgeInsert(u, 250 + u) for u in range(5)]
 
 
 def _churn_stream(csr, seed=5, iterations=6, modifiers=25, flip=0.3):
@@ -37,6 +42,14 @@ def _churn_stream(csr, seed=5, iterations=6, modifiers=25, flip=0.3):
                 stream.append(EdgeDelete(mod.u, mod.v))
                 stream.append(mod)
     return stream
+
+
+def _tree(root):
+    """Every path under ``root``, with its bytes (None for a directory)."""
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
 
 
 def _session(csr, tmp_path=None, target=16, **kwargs):
@@ -243,7 +256,7 @@ class TestCrashRecovery:
         # Crash: no close(), no final checkpoint.  The journal holds a
         # stale checkpoint plus the logged suffix.
         backlog_at_crash = crashed.queue.depth
-        del crashed
+        crashed.journal.close()
 
         recovered = StreamSession.recover(tmp_path / "j")
         assert recovered.queue.depth == backlog_at_crash
@@ -259,6 +272,37 @@ class TestCrashRecovery:
         assert recovered.telemetry.recoveries == 1
         assert recovered.telemetry.ingested == len(stream)
         recovered.close()
+
+    def test_record_cut_before_its_newline_stays_out(
+        self, small_circuit, tmp_path
+    ):
+        # A crash cuts only the newline of the last of three logged
+        # modifiers: recovery and the next append agree it was never
+        # committed, so the flush after it logs no window naming it.
+        crashed = _session(small_circuit, tmp_path, checkpoint_every=0)
+        crashed.start()
+        crashed.submit_many(_FRESH_EDGES[:3])
+        crashed.journal.close()
+        log = tmp_path / "j" / "journal.log"
+        log.write_bytes(log.read_bytes()[:-1])
+
+        recovered = StreamSession.recover(tmp_path / "j")
+        assert recovered.queue.depth == 2
+        assert recovered.queue.next_seq == 2
+        recovered.submit(_FRESH_EDGES[3])
+        recovered.flush()
+        recovered.journal.close()  # the second crash
+
+        revived = StreamSession.recover(tmp_path / "j")
+        reference = _session(small_circuit, checkpoint_every=0)
+        reference.start()
+        reference.submit_many(_FRESH_EDGES[:2] + [_FRESH_EDGES[3]])
+        reference.flush()
+        assert revived.applied_seq == reference.applied_seq == 2
+        assert partition_sha256(revived.partition) == partition_sha256(
+            reference.partition
+        )
+        revived.close()
 
     @pytest.mark.parametrize("killed_after", [6, 8])
     def test_recovered_run_checkpoints_after_the_same_flushes(
@@ -364,6 +408,38 @@ class TestCrashRecovery:
         streamed = recovered.partitioner.graph.to_host_graph()
         assert streamed.adj == reference.adj
         recovered.close()
+
+
+class TestJournalDirectory:
+    def test_start_over_another_sessions_journal_refused(
+        self, small_circuit, tmp_path
+    ):
+        crashed = _session(small_circuit, tmp_path)
+        crashed.start()
+        crashed.submit_many(_FRESH_EDGES)
+        crashed.journal.close()  # the crash: no checkpoint
+        tree = _tree(tmp_path)
+
+        with pytest.raises(JournalError, match="recover"):
+            _session(small_circuit, tmp_path)
+        assert stream_cli(
+            ["run", "--vertices", "300", "--iterations", "1",
+             "--modifiers", "5", "--journal", str(tmp_path / "j")]
+        ) == 1
+        assert _tree(tmp_path) == tree
+
+        recovered = StreamSession.recover(tmp_path / "j")
+        assert recovered.queue.depth == 5
+        assert recovered.queue.next_seq == 5
+        recovered.close()
+
+    def test_reading_a_missing_journal_creates_nothing(self, tmp_path):
+        missing = tmp_path / "x" / "y" / "journal"
+        with pytest.raises(JournalError, match="no checkpoint"):
+            StreamSession.recover(missing)
+        assert stream_cli(["inspect", str(missing)]) == 1
+        assert stream_cli(["recover", str(missing)]) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInjectableClock:
