@@ -14,11 +14,12 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## Checkpoint, journal, session crash-recovery, quarantine,
-## batched-ingest and server-shutdown tests under -X dev, failing on any
-## file left open or any exception raised where nothing can catch it
-## (pytest's own -W, because pytest overrides the interpreter's).
+## batched-ingest, server-shutdown and server-fault tests under -X dev,
+## failing on any file left open or any exception raised where nothing
+## can catch it (pytest's own -W, because pytest overrides the
+## interpreter's).
 leak-check:
-	$(PYTHON) -X dev -m pytest -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning tests/core/test_serialize.py tests/stream/test_journal.py tests/stream/test_session.py tests/stream/test_quarantine.py tests/stream/test_submit_many.py tests/serve/test_shutdown.py
+	$(PYTHON) -X dev -m pytest -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning tests/core/test_serialize.py tests/stream/test_journal.py tests/stream/test_session.py tests/stream/test_quarantine.py tests/stream/test_submit_many.py tests/serve/test_shutdown.py tests/serve/test_faults.py
 
 perf-gate:
 	$(PYTHON) tools/perf_gate.py

@@ -7,9 +7,11 @@ stalls *every* tenant at once, and nothing crashes: the server just
 gets mysteriously slow under load, which is the worst possible failure
 mode to debug.  The blocking client in :mod:`repro.serve.client` is
 fine (it is synchronous by design); the rule therefore fires only
-inside ``async def`` bodies.
+inside ``async def`` bodies and inside the methods of a class that
+defines one: such a class (the server) runs all its methods on its
+loop, including the plain ones an ``async def`` calls.
 
-Flagged inside async functions:
+Flagged inside those functions:
 
 * ``time.sleep(...)``, or bare ``sleep(...)`` when the module imported
   it from :mod:`time` (``asyncio.sleep`` is the sanctioned spelling);
@@ -57,17 +59,21 @@ _BLOCKING_SOCKET_METHODS = {
 _SOCKETY_NAMES = ("sock", "conn")
 
 
-def _enclosing_async_function(
-    info: ModuleInfo, node: ast.AST
-) -> Optional[ast.AsyncFunctionDef]:
-    """The nearest enclosing function, if it is ``async def``.
+def _loop_function(info: ModuleInfo, node: ast.AST) -> Optional[str]:
+    """Describe the nearest enclosing function if it runs on the event
+    loop: an ``async def``, or a method of a class that defines one.
 
-    A sync helper nested inside an async function runs wherever it is
+    A sync helper nested inside a function runs wherever it is
     *called*, so only the innermost function determines the verdict.
     """
     func = info.enclosing_function(node)
     if isinstance(func, ast.AsyncFunctionDef):
-        return func
+        return f"async function {func.name!r}"
+    owner = info.parent(func) if func is not None else None
+    if isinstance(owner, ast.ClassDef) and any(
+        isinstance(member, ast.AsyncFunctionDef) for member in owner.body
+    ):
+        return f"method '{owner.name}.{func.name}' of an async class"
     return None
 
 
@@ -81,7 +87,7 @@ def _receiver_name(node: ast.AST) -> Optional[str]:
 
 
 class BlockingCallInAsyncRule(LintRule):
-    """Flag blocking sleep/socket/select calls inside ``async def``."""
+    """Flag blocking sleep/socket/select calls on the event loop."""
 
     id = "blocking-call-in-async"
 
@@ -93,8 +99,8 @@ class BlockingCallInAsyncRule(LintRule):
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = _enclosing_async_function(info, node)
-            if func is None:
+            where = _loop_function(info, node)
+            if where is None:
                 continue
             blocked = self._blocking_call(node, time_sleep_names)
             if blocked is None:
@@ -102,7 +108,7 @@ class BlockingCallInAsyncRule(LintRule):
             yield self.finding(
                 info,
                 node,
-                f"{blocked} inside async function {func.name!r} blocks "
+                f"{blocked} inside {where} blocks "
                 "the event loop (and with it every tenant on this "
                 "server); use the asyncio equivalent or hand the work "
                 "to a thread",

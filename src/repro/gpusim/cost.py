@@ -281,9 +281,3 @@ class CostLedger:
     def snapshot(self) -> Counters:
         """Copy of the running totals (for before/after differencing)."""
         return self.total.copy()
-
-    def reset(self) -> None:
-        self.total = Counters()
-        self.sections = {}
-        self._section_stack = [self.DEFAULT_SECTION]
-        self._kernel_stack = []

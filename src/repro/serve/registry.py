@@ -39,7 +39,6 @@ sum exactly to the worker total — the attribution invariant
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import math
 import re
@@ -59,7 +58,7 @@ from repro.partition.config import PartitionConfig
 from repro.stream.journal import StreamJournal, fsync_directory
 from repro.stream.scheduler import SchedulerConfig, ledger_cycles
 from repro.stream.session import StreamSession
-from repro.utils.errors import JournalError, ServeError
+from repro.utils.errors import JournalError, ReproError, ServeError
 from repro.serve.protocol import (
     E_BAD_REQUEST,
     E_SESSION_EXISTS,
@@ -140,14 +139,14 @@ def partition_sha256(partition: np.ndarray) -> str:
 class DeviceWorker:
     """One simulated device of the shared pool.
 
-    ``lock`` serializes execution (one kernel stream per device) for
-    the asyncio server; the cycle counters are the device's aggregate
-    clock and its per-tenant attribution.
+    The server runs each op to completion on its event loop, so a
+    worker executes one kernel stream at a time without a lock; the
+    cycle counters are the device's aggregate clock and its per-tenant
+    attribution.
     """
 
     def __init__(self, index: int):
         self.index = index
-        self.lock = asyncio.Lock()
         self.total_cycles = 0.0
         self.cycles_by_tenant: Dict[str, float] = {}
         #: Fail-stop liveness: a dead worker never runs again; its
@@ -443,6 +442,16 @@ class SessionRegistry:
         entry.session = None
         entry.evictions += 1
 
+    def _try_suspend(self, entry: SessionEntry) -> bool:
+        """Suspend ``entry`` unless its journal cannot be written, in
+        which case the session stays live: one session's bad directory
+        must fail neither the other sessions' requests nor a shutdown."""
+        try:
+            self._suspend(entry)
+        except (ReproError, OSError):
+            return False
+        return True
+
     def evict(self, tenant: str, name: str) -> SessionEntry:
         """Checkpoint-and-drop a live session (no-op when evicted)."""
         entry = self.get(tenant, name)
@@ -452,7 +461,8 @@ class SessionRegistry:
         return entry
 
     def sweep_idle(self) -> List[SessionEntry]:
-        """Evict sessions idle past the op-count threshold."""
+        """Evict sessions idle past the op-count threshold; one that
+        cannot be suspended stays live, and the next sweep retries it."""
         if self.idle_evict_after_ops <= 0:
             return []
         horizon = self._op_counter - self.idle_evict_after_ops
@@ -460,16 +470,18 @@ class SessionRegistry:
         for key in sorted(self._entries):
             entry = self._entries[key]
             if entry.live and entry.last_active_op <= horizon:
-                self._suspend(entry)
-                evicted.append(entry)
+                if self._try_suspend(entry):
+                    evicted.append(entry)
         return evicted
 
     def close(self) -> None:
-        """Suspend every live session (server shutdown)."""
+        """Suspend every live session (server shutdown).  One that
+        cannot be suspended keeps its last checkpoint and journal; only
+        its journal handle is released."""
         for key in sorted(self._entries):
             entry = self._entries[key]
-            if entry.live:
-                self._suspend(entry)
+            if entry.live and not self._try_suspend(entry):
+                self.drop_lost(entry)
 
     # -- crash recovery & failover --------------------------------------------------
 
@@ -545,7 +557,8 @@ class SessionRegistry:
         ]
 
     def drop_lost(self, entry: SessionEntry) -> None:
-        """Discard an entry's in-memory state after its worker died.
+        """Discard an entry's in-memory state after its worker died (or
+        at a shutdown that could not suspend it).
 
         Fail-stop: no suspend, no checkpoint — the device that would
         run them is gone.  Only the journal's file handle is released;

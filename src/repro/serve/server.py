@@ -21,13 +21,15 @@ any later stage runs, so a rejected request never touches engine state:
    only: drains always pass;
 3. **admit** — per-tenant quotas (``quota-sessions`` /
    ``quota-queue`` / ``quota-cycles``);
-4. **execute** — under the session's device-worker lock; the ledger
-   cycle delta is charged to ``(worker, tenant)``.
+4. **execute** — on the session's device worker; the ledger cycle
+   delta is charged to ``(worker, tenant)``.
 
-Engine work runs synchronously on the event loop: the simulated device
-executes one kernel stream at a time anyway, so a worker's lock — not a
-thread pool — is the faithful model of the shared device, and keeping
-the engine loop-confined means no cross-thread ledger races.
+Every op runs start to finish on the event loop thread: only frame I/O
+awaits, so one op never interleaves with another.  That is the
+faithful model of the shared device, which executes one kernel stream
+at a time, and it needs no lock; keeping the engine loop-confined also
+means no cross-thread ledger races.  Any failure an op raises is
+answered with a typed error on the same connection.
 
 The server never calls wall-clock time: idle eviction uses the
 registry's op counter, budget windows use worker cycle clocks, and the
@@ -38,7 +40,6 @@ what makes hosted runs bit-identical to standalone ones.
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import json
 import threading
 import time
@@ -86,6 +87,7 @@ from repro.serve.registry import (
 )
 from repro.serve.shedding import LoadShedder, ShedPolicy
 from repro.serve.supervision import WorkerSupervisor
+from repro.stream.ingest import POLICIES
 from repro.stream.journal import decode_modifier
 from repro.utils.errors import (
     BackpressureError,
@@ -103,10 +105,8 @@ SERVE_PROTOCOL_VERSION = 1
 class _RequestTrace:
     """Per-request distributed-trace bookkeeping.
 
-    Lives in the task-local :data:`_REQ_TRACE` contextvar — never on
-    the server object — because concurrent connections interleave at
-    every ``await`` and a shared attribute would attribute one
-    request's cycles to another's span.
+    Held by the server for the one op in flight: ops run to completion
+    on the loop thread, so no other request can see it.
     """
 
     trace_id: str
@@ -136,12 +136,6 @@ class _RequestTrace:
         if index is not None:
             out["worker"] = index
         return out
-
-
-#: The in-flight request's trace context (asyncio-task-local).
-_REQ_TRACE: "contextvars.ContextVar[Optional[_RequestTrace]]" = (
-    contextvars.ContextVar("repro_serve_request_trace", default=None)
-)
 
 
 @dataclass(frozen=True)
@@ -272,10 +266,13 @@ class PartitionServer:
         #: exactly as a real crash would.
         self.crashed = False
         self._op_in_flight: Optional[str] = None
+        #: The in-flight request's trace context (None when untraced).
+        self._tctx: Optional[_RequestTrace] = None
         self._tcp_server: Optional[asyncio.base_events.Server] = None
         self._http_server: Optional[asyncio.base_events.Server] = None
-        #: Writers of the open connections, closed by :meth:`stop`.
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Open connections' writers and their handler tasks, ended by
+        #: :meth:`stop`.
+        self._handlers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -406,11 +403,14 @@ class PartitionServer:
         ]
         for server in servers:
             server.close()
-        # From Python 3.12, wait_closed() also waits for every accepted
-        # connection to close, so a client still connected would hold
-        # it forever: end the connections first.
-        for writer in list(self._writers):
+        # End the connections first: from Python 3.12, wait_closed() also
+        # waits for every accepted connection to close, so a client still
+        # connected would hold it forever.  Each handler then reads EOF
+        # and returns; awaiting it leaves nothing to cancel.
+        handlers = list(self._handlers.values())
+        for writer in list(self._handlers):
             writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
         for server in servers:
             await server.wait_closed()
         self._tcp_server = None
@@ -460,7 +460,7 @@ class PartitionServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         self._connections.inc()
-        self._writers.add(writer)
+        self._handlers[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -472,13 +472,13 @@ class PartitionServer:
                     break
                 if request is None:
                     break
-                response = await self._dispatch(request)
+                response = self._dispatch(request)
                 if await self._send_response(writer, request, response):
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass  # peer vanished; nothing to answer
         finally:
-            self._writers.discard(writer)
+            del self._handlers[writer]
             writer.close()
 
     async def _send_response(
@@ -530,10 +530,10 @@ class PartitionServer:
         self._crash()
         return True
 
-    async def _dispatch(self, request: dict) -> dict:
+    def _dispatch(self, request: dict) -> dict:
         self._requests.inc()
         op = request.get("op")
-        handler = _OPS.get(op)
+        handler = _OPS.get(op) if isinstance(op, str) else None
         if handler is None:
             self._rejected.inc()
             if self.flight is not None:
@@ -543,7 +543,7 @@ class PartitionServer:
             return error_response(
                 E_UNKNOWN_OP, f"unknown op {op!r}"
             )
-        self._op_in_flight = op if isinstance(op, str) else None
+        self._op_in_flight = op
         started = time.perf_counter()
         try:
             tctx = self._trace_begin(request, op)
@@ -553,25 +553,34 @@ class PartitionServer:
             return error_response(
                 E_BAD_REQUEST, f"malformed trace context: {err}"
             )
-        token = _REQ_TRACE.set(tctx)
+        self._tctx = tctx
         try:
-            response = await handler(self, request)
+            response = handler(self, request)
         except ServeError as err:
             self._rejected.inc()
             tenant = request.get("tenant")
             if isinstance(tenant, str) and tenant in self.tenants:
                 self.tenants[tenant].record_reject()
+            if self.flight is not None:
+                self.flight.record(
+                    "reject", op=op, tenant=tenant, code=err.code
+                )
             response = error_response(err.code, str(err))
         except BackpressureError as err:
             self._rejected.inc()
             response = error_response(E_BACKPRESSURE, str(err))
-        except ReproError as err:
+        except Exception as err:
             self._rejected.inc()
+            # Answered, so the loop never sees it: report the traceback
+            # as asyncio would have reported it.
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": f"op {op!r} failed", "exception": err}
+            )
             response = error_response(
                 E_INTERNAL, f"{type(err).__name__}: {err}"
             )
         finally:
-            _REQ_TRACE.reset(token)
+            self._tctx = None
             self._op_in_flight = None
         self._finish_request(
             tctx, op, request, response, time.perf_counter() - started
@@ -700,34 +709,38 @@ class PartitionServer:
         ``serve_tenant_device_cycles_total``."""
         delta = self.registry.settle_cycles(entry)
         account.charge_cycles(delta)
-        tctx = _REQ_TRACE.get()
+        tctx = self._tctx
         if tctx is not None:
             tctx.cycles += delta
             tctx.worker = entry.worker.index
         return delta
 
-    def _run_traced(
-        self,
-        entry: SessionEntry,
-        tctx: _RequestTrace,
-        recorder: TraceRecorder,
-        fn,
-    ):
-        """Run ``fn()`` with an engine tracer active, then graft its
-        spans and kernel aggregates under the request's op span.
+    def _traced(self, fn, entry: Optional[SessionEntry] = None):
+        """Run ``fn()`` with an engine tracer active and fold its spans
+        under the in-flight request's op span (plain ``fn()`` when the
+        request is not traced).
 
-        The module-global tracer is activated only around this fully
-        *synchronous* call — never across an ``await`` — so concurrent
-        requests interleaving on the event loop can never cross their
-        tracers.
+        With ``entry``, ``fn`` is the session's execute stage: it runs
+        in a ``serve.worker.execute`` span whose tracer reads the
+        session's ledger, and its spans carry the worker index.
+        Without one it is registry work (session construction,
+        re-attach, eviction), whose cycles settle through
+        :meth:`_charge`, so the tracer carries no ledger.
         """
-        ledger = (
-            entry.session.partitioner.ctx.ledger if entry.live else None
-        )
+        recorder = self.recorder
+        tctx = self._tctx
+        if recorder is None or tctx is None:
+            return fn()
+        ledger = worker = None
+        if entry is not None:
+            ledger = entry.session.partitioner.ctx.ledger
+            worker = entry.worker.index
         tracer = Tracer(ledger=ledger, session=tctx.trace_id)
         offset = recorder.now()
         try:
             with tracer.activate():
+                if entry is None:
+                    return fn()
                 with span("serve.worker.execute"):
                     return fn()
         finally:
@@ -735,35 +748,7 @@ class PartitionServer:
             # engine spans, which is what the post-mortem wants.
             recorder.fold(
                 tracer.events,
-                trace=tctx.context(worker=entry.worker.index),
-                parent=tctx.span_id,
-                base_depth=tctx.depth + 1,
-                start_offset=offset,
-            )
-
-    def _traced_on_loop(self, fn):
-        """Run ``fn()`` with an engine tracer active and fold its spans
-        under the in-flight request's op span (plain ``fn()`` when the
-        request is not traced).
-
-        For registry work that runs synchronously on the loop thread,
-        outside :meth:`_run_on_worker`: session construction, re-attach
-        and eviction.  Its cycles settle through :meth:`_charge`, so
-        the tracer carries no ledger.
-        """
-        recorder = self.recorder
-        tctx = _REQ_TRACE.get()
-        if recorder is None or tctx is None:
-            return fn()
-        tracer = Tracer(session=tctx.trace_id)
-        offset = recorder.now()
-        try:
-            with tracer.activate():
-                return fn()
-        finally:
-            recorder.fold(
-                tracer.events,
-                trace=tctx.context(),
+                trace=tctx.context(worker=worker),
                 parent=tctx.span_id,
                 base_depth=tctx.depth + 1,
                 start_offset=offset,
@@ -788,14 +773,12 @@ class PartitionServer:
         name = self._require_str(request, "session")
         self.tenant(tenant)  # registers or rejects
         # A revive records its own span: StreamSession.recover's.
-        return self._traced_on_loop(
-            lambda: self.registry.attach(tenant, name)
-        )
+        return self._traced(lambda: self.registry.attach(tenant, name))
 
-    async def _run_on_worker(
+    def _run_on_worker(
         self, entry: SessionEntry, account: TenantAccount, fn
     ):
-        """Execute ``fn()`` under the device-worker lock, then settle
+        """Execute ``fn()`` on the session's device worker, then settle
         the ledger delta onto both the worker (attribution) and the
         tenant account (metrics + window budget).
 
@@ -807,65 +790,60 @@ class PartitionServer:
         loop's supervisor sweep restores the lost sessions before the
         error response is sent.
         """
-        async with entry.worker.lock:
-            if not entry.worker.alive:
-                raise WorkerFault(
-                    f"device worker {entry.worker.index} is dead "
-                    f"({entry.worker.fault})"
-                )
-            plan = self.fault_plan
-            fault = (
-                plan.take("execute", self._op_in_flight)
-                if plan is not None
-                else None
+        if not entry.worker.alive:
+            raise WorkerFault(
+                f"device worker {entry.worker.index} is dead "
+                f"({entry.worker.fault})"
             )
-            if fault is not None:
-                entry.worker.fail(f"injected {fault.kind}")
-                if self.flight is not None:
-                    self.flight.record(
-                        "fault",
-                        stage="execute",
-                        fault=fault.kind,
-                        op=self._op_in_flight,
-                        worker=entry.worker.index,
-                    )
-                    self._dump_flight(f"fault-{fault.kind}")
-                raise WorkerFault(
-                    f"device worker {entry.worker.index} aborted "
-                    "(injected fault)"
+        plan = self.fault_plan
+        fault = (
+            plan.take("execute", self._op_in_flight)
+            if plan is not None
+            else None
+        )
+        if fault is not None:
+            entry.worker.fail(f"injected {fault.kind}")
+            if self.flight is not None:
+                self.flight.record(
+                    "fault",
+                    stage="execute",
+                    fault=fault.kind,
+                    op=self._op_in_flight,
+                    worker=entry.worker.index,
                 )
-            try:
-                recorder = self.recorder
-                tctx = _REQ_TRACE.get()
-                if recorder is not None and tctx is not None:
-                    return self._run_traced(entry, tctx, recorder, fn)
-                return fn()
-            except ReproError:
-                raise
-            except Exception as err:
-                entry.worker.fail(f"{type(err).__name__}: {err}")
-                raise WorkerFault(
-                    f"device worker {entry.worker.index} faulted: "
-                    f"{type(err).__name__}: {err}"
-                ) from err
-            finally:
-                self._charge(entry, account)
+                self._dump_flight(f"fault-{fault.kind}")
+            raise WorkerFault(
+                f"device worker {entry.worker.index} aborted "
+                "(injected fault)"
+            )
+        try:
+            return self._traced(fn, entry)
+        except ReproError:
+            raise
+        except Exception as err:
+            entry.worker.fail(f"{type(err).__name__}: {err}")
+            raise WorkerFault(
+                f"device worker {entry.worker.index} faulted: "
+                f"{type(err).__name__}: {err}"
+            ) from err
+        finally:
+            self._charge(entry, account)
 
-    async def _settle(
+    def _settle(
         self, entry: SessionEntry, account: TenantAccount
     ) -> None:
-        await self._run_on_worker(entry, account, lambda: None)
+        self._run_on_worker(entry, account, lambda: None)
 
     # -- ops -----------------------------------------------------------------------
 
-    async def _op_hello(self, request: dict) -> dict:
+    def _op_hello(self, request: dict) -> dict:
         return ok_response(
             server="repro-serve",
             protocol=SERVE_PROTOCOL_VERSION,
             workers=len(self.registry.workers),
         )
 
-    async def _op_create(self, request: dict) -> dict:
+    def _op_create(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         session_name = self._require_str(request, "session")
         account = self.tenant(tenant_name)
@@ -874,12 +852,10 @@ class PartitionServer:
             self.registry.live_session_count(tenant_name)
         )
         if code is not None:
-            account.record_reject()
-            self._rejected.inc()
-            return error_response(
-                code,
+            raise ServeError(
                 f"tenant {tenant_name!r} is at its session quota "
                 f"({account.quota.max_sessions})",
+                code=code,
             )
         graph_spec = request.get("graph")
         k = request.get("k")
@@ -895,7 +871,21 @@ class PartitionServer:
                 "target_batch_size must be a positive integer",
                 code=E_BAD_REQUEST,
             )
-        tctx = _REQ_TRACE.get()
+        seed = request.get("seed", 0)
+        if not isinstance(seed, int):
+            raise ServeError("seed must be an integer", code=E_BAD_REQUEST)
+        capacity = request.get("queue_capacity", 4096)
+        if not isinstance(capacity, int) or capacity < 1:
+            raise ServeError(
+                "queue_capacity must be a positive integer",
+                code=E_BAD_REQUEST,
+            )
+        policy = request.get("policy", "reject")
+        if policy not in POLICIES:
+            raise ServeError(
+                f"policy must be one of {POLICIES}", code=E_BAD_REQUEST
+            )
+        tctx = self._tctx
 
         def construct():
             with span("serve.registry.create"):
@@ -904,33 +894,33 @@ class PartitionServer:
                     session_name,
                     graph_spec,
                     k=k,
-                    seed=int(request.get("seed", 0)),
+                    seed=seed,
                     target_batch_size=target,
-                    queue_capacity=int(request.get("queue_capacity", 4096)),
-                    policy=str(request.get("policy", "reject")),
+                    queue_capacity=capacity,
+                    policy=policy,
                     origin_trace=(
                         tctx.trace_id if tctx is not None else None
                     ),
                 )
 
         # Construction runs before the session has a worker, so it is
-        # traced on the loop thread; its cycles settle via _settle.
-        entry = self._traced_on_loop(construct)
-        await self._settle(entry, account)
+        # traced as registry work; its cycles settle via _settle.
+        entry = self._traced(construct)
+        self._settle(entry, account)
         return ok_response(
             cut=entry.session.cut_size(),
             worker=entry.worker.index,
         )
 
-    async def _op_attach(self, request: dict) -> dict:
+    def _op_attach(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
         entry = self._entry_for(request)
-        await self._settle(entry, account)
+        self._settle(entry, account)
         return ok_response(**self.registry.info(entry))
 
-    async def _op_submit(self, request: dict) -> dict:
+    def _op_submit(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
@@ -953,19 +943,10 @@ class PartitionServer:
             self.registry.queued_modifiers()
         ):
             account.record_shed()
-            account.record_reject()
-            self._rejected.inc()
-            if self.flight is not None:
-                self.flight.record(
-                    "reject",
-                    op="submit",
-                    tenant=tenant_name,
-                    code=E_SHED_OVERLOAD,
-                )
-            return error_response(
-                E_SHED_OVERLOAD,
+            raise ServeError(
                 "server is shedding submits under backlog pressure "
                 "(back off and resubmit)",
+                code=E_SHED_OVERLOAD,
             )
         entry = self._entry_for(request)
         # Stage 3: tenant quotas.
@@ -975,25 +956,16 @@ class PartitionServer:
             entry.worker.total_cycles,
         )
         if code is not None:
-            account.record_reject()
-            self._rejected.inc()
-            if self.flight is not None:
-                self.flight.record(
-                    "reject",
-                    op="submit",
-                    tenant=tenant_name,
-                    code=code,
-                )
-            return error_response(
-                code,
+            raise ServeError(
                 f"tenant {tenant_name!r} quota {code} rejected a "
                 f"{len(modifiers)}-modifier submit",
+                code=code,
             )
 
         def work():
             return entry.session.submit_many(modifiers)
 
-        seqs = await self._run_on_worker(entry, account, work)
+        seqs = self._run_on_worker(entry, account, work)
         return ok_response(
             accepted=len(seqs),
             first_seq=seqs[0],
@@ -1002,7 +974,7 @@ class PartitionServer:
             applied_seq=entry.session.applied_seq,
         )
 
-    async def _op_flush(self, request: dict) -> dict:
+    def _op_flush(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
@@ -1015,7 +987,7 @@ class PartitionServer:
             report = entry.session.flush()
             return [report] if report is not None else []
 
-        reports = await self._run_on_worker(entry, account, work)
+        reports = self._run_on_worker(entry, account, work)
         return ok_response(
             flushed_windows=len(reports),
             applied=sum(r.applied_count for r in reports),
@@ -1024,7 +996,7 @@ class PartitionServer:
             applied_seq=entry.session.applied_seq,
         )
 
-    async def _op_checkpoint(self, request: dict) -> dict:
+    def _op_checkpoint(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
@@ -1034,34 +1006,31 @@ class PartitionServer:
             entry.session.checkpoint()
             return None
 
-        await self._run_on_worker(entry, account, work)
+        self._run_on_worker(entry, account, work)
         return ok_response(
             checkpoints=entry.session.telemetry.checkpoints_written
         )
 
-    async def _op_evict(self, request: dict) -> dict:
+    def _op_evict(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
         name = self._require_str(request, "session")
         entry = self.registry.get(tenant_name, name)
         was_live = entry.live
-        async with entry.worker.lock:
-            self._charge(entry, account)
-            # The evict's checkpoint is traced as stream.checkpoint.
-            self._traced_on_loop(
-                lambda: self.registry.evict(tenant_name, name)
-            )
+        self._charge(entry, account)
+        # The evict's checkpoint is traced as stream.checkpoint.
+        self._traced(lambda: self.registry.evict(tenant_name, name))
         if was_live:
             self._evictions.inc()
         return ok_response(evicted=was_live)
 
-    async def _op_digest(self, request: dict) -> dict:
+    def _op_digest(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
         entry = self._entry_for(request)
-        digest = await self._run_on_worker(
+        digest = self._run_on_worker(
             entry,
             account,
             lambda: partition_sha256(entry.session.partition),
@@ -1072,7 +1041,7 @@ class PartitionServer:
             applied_seq=entry.session.applied_seq,
         )
 
-    async def _op_metrics(self, request: dict) -> dict:
+    def _op_metrics(self, request: dict) -> dict:
         tenant_name = self._require_str(request, "tenant")
         account = self.tenant(tenant_name)
         account.record_request()
@@ -1081,7 +1050,7 @@ class PartitionServer:
             metrics=self._tenant_registry(tenant_name).as_dict()
         )
 
-    async def _op_stats(self, request: dict) -> dict:
+    def _op_stats(self, request: dict) -> dict:
         self._publish_usage()
         return ok_response(
             sessions=len(self.registry),
@@ -1094,7 +1063,7 @@ class PartitionServer:
             server_metrics=self.metrics.as_dict(),
         )
 
-    async def _op_kill_worker(self, request: dict) -> dict:
+    def _op_kill_worker(self, request: dict) -> dict:
         """Chaos op: declare a device worker dead and fail over.
 
         Gated behind ``enable_chaos`` — a production server must not
@@ -1167,7 +1136,7 @@ class PartitionServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        self._writers.add(writer)
+        self._handlers[writer] = asyncio.current_task()
         try:
             request_line = await reader.readline()
             # Drain headers until the blank line; we only route on path.
@@ -1223,11 +1192,11 @@ class PartitionServer:
         except (ConnectionResetError, BrokenPipeError):
             pass  # scraper vanished mid-response
         finally:
-            self._writers.discard(writer)
+            del self._handlers[writer]
             writer.close()
 
 
-#: Dispatch table: wire op name -> handler coroutine.
+#: Dispatch table: wire op name -> handler.
 _OPS = {
     "hello": PartitionServer._op_hello,
     "create": PartitionServer._op_create,
@@ -1300,8 +1269,8 @@ class ServerThread:
                 )
             else:
                 self._loop.run_until_complete(self.server.stop())
-            # Cancel and await whatever is still in flight (a connected
-            # client's handler, above all) before closing the loop: a
+            # Cancel and await whatever is still in flight (a crashed
+            # server's connection handlers) before closing the loop: a
             # task left pending would be destroyed with a closed loop.
             pending = [
                 t for t in asyncio.all_tasks(self._loop) if not t.done()

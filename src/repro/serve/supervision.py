@@ -50,7 +50,7 @@ from repro.serve.registry import (
     SessionRegistry,
 )
 from repro.serve.shedding import LoadShedder
-from repro.utils.errors import ServeError
+from repro.utils.errors import ReproError, ServeError
 from repro.serve.protocol import E_WORKER_FAILED
 
 
@@ -180,9 +180,14 @@ class WorkerSupervisor:
                 entry.worker = target
                 continue
             # Fail-stop: in-memory state is gone, drop without
-            # checkpointing, then rebuild from the journal.
+            # checkpointing, then rebuild from the journal.  A journal
+            # that cannot be read leaves the session evicted on its
+            # survivor, where its next op answers the error typed.
             self.registry.drop_lost(entry)
-            self.registry.restore(entry, target)
+            try:
+                self.registry.restore(entry, target)
+            except (ReproError, OSError):
+                continue
             replay = entry.charged_cycles  # fresh ledger == replay cost
             self._failovers.inc()
             if replay > 0:

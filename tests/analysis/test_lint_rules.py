@@ -633,6 +633,44 @@ class TestBlockingCallInAsync:
         )
         assert findings == []
 
+    def test_sync_method_of_async_class_flagged(self, tmp_path):
+        findings = _lint_snippet(
+            tmp_path,
+            "src/repro/serve/h.py",
+            """
+            import time
+
+            class Server:
+                async def serve(self, request):
+                    return self.dispatch(request)
+
+                def dispatch(self, request):
+                    time.sleep(0.1)
+                    return request
+            """,
+            rules=["blocking-call-in-async"],
+        )
+        assert [f.rule for f in findings] == ["blocking-call-in-async"]
+        assert "'Server.dispatch'" in findings[0].message
+
+    def test_method_of_class_without_async_method_exempt(self, tmp_path):
+        findings = _lint_snippet(
+            tmp_path,
+            "src/repro/serve/h.py",
+            """
+            import time
+
+            async def serve(request):
+                return request
+
+            class Harness:
+                def stop(self):
+                    time.sleep(0.1)
+            """,
+            rules=["blocking-call-in-async"],
+        )
+        assert findings == []
+
     def test_asyncio_sleep_and_generator_send_clean(self, tmp_path):
         findings = _lint_snippet(
             tmp_path,

@@ -130,13 +130,6 @@ class TestCostLedger:
         assert ledger.seconds("missing") == 0.0
         assert ledger.seconds() == pytest.approx(ledger.seconds("a"))
 
-    def test_reset(self):
-        ledger = CostLedger()
-        ledger.charge_instructions(10)
-        ledger.reset()
-        assert ledger.total.warp_instructions == 0
-        assert ledger.sections == {}
-
     def test_atomics_charged(self):
         ledger = CostLedger()
         ledger.charge_atomics(50)
