@@ -19,8 +19,7 @@ This subpackage closes the gap in three layers:
 * :mod:`repro.analysis.effects.infer` — per-function **effect
   signatures** extracted from the AST (``ledger.charge``,
   ``device.write``, ``journal.append``, ``fsync``, ``socket.send``,
-  ``ack``, ``rng``, ``cutacc.read``,
-  ``await.under-lock``) and propagated through the call graph to a
+  ``ack``, ``rng``, ``cutacc.read``) and propagated through the call graph to a
   fixed point, preserving intra-procedural event order so dominance
   ("append before ack") stays checkable.
 * :mod:`repro.analysis.effects.invariants` — a declarative catalog of

@@ -26,8 +26,6 @@ catalog):
                      ``np.random.*``, method calls on ``rng``-named receivers)
 ``cutacc.read``      touching derived cut-accumulator state (``.cut_acc``
                      attribute access or ``CutAccumulator`` construction)
-``await.under-lock`` an ``await`` lexically inside an ``async with`` on a
-                     ``*.lock``/``*_lock`` context manager
 ================== ===========================================================
 
 Propagation folds callee signatures into callers at each call site to a
@@ -182,14 +180,6 @@ def _subscript_store_attrs(node: ast.AST) -> Iterable[Tuple[str, int]]:
                 yield attr, target.lineno
 
 
-def _is_lock_context(expr: ast.AST) -> bool:
-    dotted = _dotted_name(expr if not isinstance(expr, ast.Call) else expr.func)
-    if dotted is None:
-        return False
-    tail = dotted.rsplit(".", 1)[-1]
-    return tail == "lock" or tail.endswith("_lock")
-
-
 class _EventExtractor:
     """Walk one function body in source order, emitting events."""
 
@@ -205,7 +195,7 @@ class _EventExtractor:
 
     def extract(self) -> List["EffectEvent | CallEvent"]:
         for stmt in self.fn.node.body:
-            self._visit(stmt, kernel=False, lock=False)
+            self._visit(stmt, kernel=False)
         return self.events
 
     def _emit(self, effect: str, line: int, detail: str = "") -> None:
@@ -257,13 +247,12 @@ class _EventExtractor:
             # opener (e.g. contextlib.ExitStack usage).
             self.opens_kernel = True
 
-    def _visit(self, node: ast.AST, kernel: bool, lock: bool) -> None:
+    def _visit(self, node: ast.AST, kernel: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node is not self.fn.node:
                 return
         if isinstance(node, (ast.With, ast.AsyncWith)):
             opens = False
-            locks = False
             for item in node.items:
                 expr = item.context_expr
                 if (
@@ -274,16 +263,9 @@ class _EventExtractor:
                     opens = True
                     self.opens_kernel = True
                     self._emit("kernel.scope", node.lineno, "with")
-                if _is_lock_context(expr):
-                    locks = True
-                self._visit(expr, kernel, lock)
+                self._visit(expr, kernel)
             for child in node.body:
-                self._visit(child, kernel or opens, lock or locks)
-            return
-        if isinstance(node, ast.Await):
-            if lock:
-                self._emit("await.under-lock", node.lineno)
-            self._visit(node.value, kernel, lock)
+                self._visit(child, kernel or opens)
             return
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             for attr, line in _subscript_store_attrs(node):
@@ -307,7 +289,7 @@ class _EventExtractor:
                 self._emit("cutacc.read", node.lineno, cname)
             self._visit_call(node, kernel)
         for child in ast.iter_child_nodes(node):
-            self._visit(child, kernel, lock)
+            self._visit(child, kernel)
 
 
 class EffectEngine:

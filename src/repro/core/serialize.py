@@ -38,9 +38,18 @@ added the *stream metadata* JSON that :mod:`repro.stream` uses to
 persist its journal cursor (the sequence number of the last applied
 modifier) and the adaptive-trigger state, so ``StreamSession.recover``
 can replay exactly the un-checkpointed suffix of the modifier log;
-version 3 stored the filled slots in an uncompressed archive.  The
-stream journal keeps the historical file names ``checkpoint.npz`` and
-``checkpoint.prev.npz`` whatever version they hold.
+version 3 stored the filled slots in an uncompressed archive.
+
+The stream journal keeps its checkpoints in two *slots* under the
+historical names ``checkpoint.npz`` and ``checkpoint.prev.npz``, and
+overwrites a slot in place without truncating it, so a slot may be
+longer than the checkpoint it holds.  ``load_checkpoint(path,
+slack=True)`` reads such a file: the body ends where the header's
+layout says, and the CRC-32 covers only that much.  Without ``slack``
+(every standalone :func:`save_partitioner` file) a byte past the body
+fails the body's check, as it always did.  :func:`peek_stream_meta`
+reads only a slot's header — the journal orders slots by the
+``generation`` in their stream metadata before loading one.
 
 Derived state is *not* serialized: the incremental cut accumulator
 (:class:`~repro.partition.cutacc.CutAccumulator`) is reconstructible
@@ -121,6 +130,15 @@ def save_partitioner(
     ``stream_meta`` is an optional JSON-serializable dict persisted
     verbatim; :mod:`repro.stream` stores its journal cursor there.
     """
+    Path(path).write_bytes(pack_checkpoint(partitioner, stream_meta))
+
+
+def pack_checkpoint(
+    partitioner: IGKway, stream_meta: dict | None = None
+) -> bytes:
+    """The format-4 bytes :func:`save_partitioner` writes, for a caller
+    that stores them itself (the stream journal overwrites a checkpoint
+    slot in place)."""
     graph = partitioner.graph
     state = partitioner.state
     if graph is None or state is None:
@@ -147,7 +165,7 @@ def save_partitioner(
         "vwgt": graph.vwgt,
         "partition": state.partition,
     }
-    Path(path).write_bytes(_pack(fields, arrays))
+    return _pack(fields, arrays)
 
 
 def load_partitioner(
@@ -172,32 +190,70 @@ def load_partitioner(
 
 
 def load_checkpoint(
-    path: "str | Path", ctx: GpuContext | None = None
+    path: "str | Path", ctx: GpuContext | None = None, *, slack: bool = False
 ) -> "tuple[IGKway, dict]":
     """Like :func:`load_partitioner`, also returning the stream metadata.
 
     Version-1 checkpoints (no stream metadata) yield an empty dict.
+    ``slack=True`` reads a checkpoint slot, which is overwritten in
+    place and never truncated: a format-4 body ends where its header's
+    layout says, and the bytes after it, left by an older and longer
+    checkpoint, are neither checked nor read.
     """
     # The file's bytes and decoded arrays are freed when _read returns,
     # before the cut accumulator's bootstrap, whose temporaries then
     # reuse that memory: on a 6000-cell k=8 checkpoint, 1841 rather than
     # 2014 minor page faults per load, and ~0.6 ms less on a 2-vCPU host.
-    graph, partition, config, iterations, meta = _read(Path(path))
+    graph, partition, config, iterations, meta = _read(Path(path), slack)
     partitioner = IGKway.from_state(
         graph, partition, config, iterations, ctx=ctx
     )
     return partitioner, meta
 
 
+def peek_stream_meta(path: "str | Path") -> "dict | None":
+    """The stream metadata of the format-4 checkpoint at ``path``, read
+    from its header alone: the header's CRC is checked, the body is not
+    read.  ``None`` for a format 1-3 archive, which keeps it in a member.
+
+    Raises :class:`~repro.utils.errors.PartitionError` on a missing
+    file, a header that fails its check, or a file that is neither.
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as handle:
+            prefix = handle.read(_PREFIX.size)
+            if prefix.startswith(b"PK"):
+                return None
+            if len(prefix) < _PREFIX.size or not prefix.startswith(_MAGIC):
+                raise ValueError("not a format-4 checkpoint")
+            _magic, header_len, header_crc, _body_crc = _PREFIX.unpack(
+                prefix
+            )
+            header = handle.read(header_len)
+        if len(header) != header_len or zlib.crc32(header) != header_crc:
+            raise ValueError("header fails its CRC-32 check")
+        meta = _header_fields(header).get("stream_meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError("stream metadata is not a JSON object")
+        return meta
+    except FileNotFoundError as exc:
+        raise PartitionError(f"checkpoint not found: {path}") from exc
+    except (ValueError, OSError) as exc:
+        raise PartitionError(
+            f"{path}: truncated or corrupt checkpoint ({exc})"
+        ) from exc
+
+
 def _read(
-    path: Path,
+    path: Path, slack: bool = False
 ) -> "tuple[BucketListGraph, np.ndarray, PartitionConfig, int, dict]":
     """The graph, partition, configuration, iteration count and stream
     metadata of the checkpoint at ``path``."""
     try:
         data = path.read_bytes()
         if data.startswith(_MAGIC):
-            fields, arrays = _unpack(data)
+            fields, arrays = _unpack(data, slack)
             fields.update(
                 (name, _widen(array)) for name, array in arrays.items()
             )
@@ -237,10 +293,14 @@ def _pack(fields: dict, arrays: "dict[str, np.ndarray]") -> bytes:
     return b"".join([prefix, header, *stored])
 
 
-def _unpack(data: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
+def _unpack(
+    data: bytes, slack: bool = False
+) -> "tuple[dict, dict[str, np.ndarray]]":
     """Inverse of :func:`_pack`: the header fields and read-only views
     of the arrays as stored.  Raises ``ValueError`` on a short file, a
-    failed CRC-32 check or a body its layout does not describe."""
+    failed CRC-32 check or a body its layout does not describe; with
+    ``slack``, the bytes past the body the layout describes are
+    ignored (see :func:`load_checkpoint`)."""
     if len(data) < _PREFIX.size:
         raise ValueError("file shorter than its prefix")
     _magic, header_len, header_crc, body_crc = _PREFIX.unpack_from(data)
@@ -249,15 +309,18 @@ def _unpack(data: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
     body = view[_PREFIX.size + header_len :]
     if len(header) != header_len or zlib.crc32(header) != header_crc:
         raise ValueError("header fails its CRC-32 check")
+    fields = _header_fields(header)
+    layout = [
+        (name, np.dtype(dtype), length)
+        for name, dtype, length in fields.pop("arrays")
+    ]
+    if slack:
+        body = body[: sum(dtype.itemsize * n for _name, dtype, n in layout)]
     if zlib.crc32(body) != body_crc:
         raise ValueError("body fails its CRC-32 check")
-    fields = json.loads(bytes(header))
-    if not isinstance(fields, dict):
-        raise ValueError("header is not a JSON object")
     arrays = {}
     offset = 0
-    for name, dtype, length in fields.pop("arrays"):
-        dtype = np.dtype(dtype)
+    for name, dtype, length in layout:
         if not np.issubdtype(dtype, np.integer):
             raise ValueError(
                 f"{name} must have an integer dtype, got {dtype}"
@@ -271,6 +334,14 @@ def _unpack(data: bytes) -> "tuple[dict, dict[str, np.ndarray]]":
             f"body holds {len(body)} bytes, its layout {offset}"
         )
     return fields, arrays
+
+
+def _header_fields(header: "bytes | memoryview") -> dict:
+    """A format-4 header's JSON object."""
+    fields = json.loads(bytes(header))
+    if not isinstance(fields, dict):
+        raise ValueError("header is not a JSON object")
+    return fields
 
 
 def _narrow(array: np.ndarray) -> np.ndarray:

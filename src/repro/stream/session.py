@@ -147,7 +147,10 @@ class StreamSession:
         quarantine_backoff_cycles: float = 1e6,
         escalate_after: int = 3,
     ):
-        if journal_dir is not None and StreamJournal(journal_dir).exists():
+        journal = (
+            StreamJournal(journal_dir) if journal_dir is not None else None
+        )
+        if journal is not None and journal.exists():
             raise JournalError(
                 f"{journal_dir} holds the checkpoint of another session: "
                 "revive it with StreamSession.recover, or start in an "
@@ -163,7 +166,7 @@ class StreamSession:
         )
         self._init_parts(
             partitioner,
-            journal_dir,
+            journal,
             IngestQueue(capacity=queue_capacity, policy=policy),
             scheduler,
             checkpoint_every,
@@ -178,7 +181,7 @@ class StreamSession:
     def _init_parts(
         self,
         partitioner: AdaptiveIGKway,
-        journal_dir: "str | Path | None",
+        journal: Optional[StreamJournal],
         queue: IngestQueue,
         scheduler: SchedulerConfig | None,
         checkpoint_every: int,
@@ -193,9 +196,7 @@ class StreamSession:
         self.queue = queue
         self.coalescer = Coalescer()
         self.scheduler = BatchScheduler(scheduler)
-        self.journal = (
-            StreamJournal(journal_dir) if journal_dir is not None else None
-        )
+        self.journal = journal
         self.checkpoint_every = checkpoint_every
         self.telemetry = StreamTelemetry()
         #: Session-scoped metrics registry: telemetry snapshots,
@@ -688,9 +689,10 @@ class StreamSession:
         # checkpoint-load + replay (the accumulator itself is not
         # serialized).
         self.partitioner.inner.settle_cut_maintenance()
-        # Counted before the telemetry is saved, so the checkpoint's
-        # own telemetry includes it.
-        self.telemetry.checkpoints_written += 1
+        # The checkpoint's own telemetry counts it; the live counter
+        # does once it is written.
+        telemetry = self.telemetry.as_dict()
+        telemetry["checkpoints_written"] += 1
         meta = {
             "applied_seq": self.applied_seq,
             "next_seq": self.queue.next_seq,
@@ -702,7 +704,7 @@ class StreamSession:
                 "policy": self.queue.policy,
             },
             "checkpoint_every": self.checkpoint_every,
-            "telemetry": self.telemetry.as_dict(),
+            "telemetry": telemetry,
             "resilience": {
                 "quarantine": self.quarantine.as_meta(self._clock()),
                 "consecutive_failures": self._consecutive_failures,
@@ -712,6 +714,7 @@ class StreamSession:
         if self.on_checkpoint is not None:
             meta["host"] = self.on_checkpoint()
         self.journal.write_checkpoint(self.partitioner.inner, meta)
+        self.telemetry.checkpoints_written += 1
         self._flushes_since_checkpoint = 0
 
     @classmethod
@@ -761,9 +764,11 @@ class StreamSession:
         resilience = meta["resilience"]
 
         session = cls.__new__(cls)
+        # The journal that loaded the state knows its checkpoints'
+        # cursors, so the first checkpoint after recovery compacts.
         session._init_parts(
             partitioner,
-            journal_dir,
+            journal,
             IngestQueue(**meta["queue"]),
             SchedulerConfig(**meta["scheduler"]),
             meta["checkpoint_every"],

@@ -147,10 +147,13 @@ class TestOneBadJournal:
                 _replace_with_file(tmp_path / "t" / "s")
                 # s falls idle at the third digest; every sweep from
                 # then on fails to suspend it and must leave it live.
-                digests = {client.digest("s2")["sha256"] for _ in range(5)}
+                digests = {client.digest("s2")["sha256"] for _ in range(10)}
                 assert len(digests) == 1
                 stats = client.stats()
                 assert stats["server_metrics"]["serve_evictions_total"] == 0
+                # A checkpoint that failed is not counted as written.
+                telemetry = thread.server.registry.get("t", "s").session.telemetry
+                assert telemetry.checkpoints_written == 1
         finally:
             thread.stop()
         assert thread_errors == []

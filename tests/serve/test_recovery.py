@@ -12,6 +12,7 @@ from repro.serve.registry import (
     build_graph,
     partition_sha256,
 )
+from repro.stream.journal import StreamJournal
 from repro.stream.session import StreamSession
 from repro.utils.errors import ServeError
 
@@ -281,8 +282,8 @@ class TestCycleExactRecovery:
         expected = entry.lifetime_cycles
         fingerprint = _fingerprint(entry)
         # No close(): the process dies, and the newest checkpoint is
-        # damaged on disk, so recovery loads checkpoint.prev.npz.
-        newest = tmp_path / "d" / "t" / "s" / "checkpoint.npz"
+        # damaged on disk, so recovery loads the other slot.
+        newest = StreamJournal(tmp_path / "d" / "t" / "s").checkpoint_path
         newest.write_bytes(newest.read_bytes()[:64])
 
         fresh = SessionRegistry(tmp_path / "d", workers=1)

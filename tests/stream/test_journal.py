@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import IGKway, PartitionConfig
 from repro.core.serialize import save_partitioner
+from repro.eval.workloads import TraceConfig, generate_trace
 from repro.core.transaction import state_digest
 from repro.graph import (
     EdgeDelete,
@@ -20,7 +21,7 @@ from repro.graph import (
     VertexInsert,
 )
 from repro.graph.generators import circuit_graph
-from repro.stream import StreamJournal
+from repro.stream import StreamJournal, StreamSession
 from repro.stream import journal as journal_module
 from repro.stream.journal import (
     decode_modifier,
@@ -39,6 +40,12 @@ def _record_line(seq, modifier):
     record = {"r": "m", "s": seq}
     record.update(encode_modifier(modifier))
     return _dumps(record)
+
+
+def _log_bytes(journal):
+    """The live log's bytes before its NUL-filled rest: a log rewritten
+    or blanked in place keeps its length instead of shrinking."""
+    return journal.log_path.read_bytes().rstrip(b"\0")
 
 
 @pytest.fixture
@@ -190,7 +197,7 @@ class TestCompaction:
         assert journal.prev_checkpoint_path.exists()
         lines = [
             json.loads(line)
-            for line in journal.log_path.read_text().splitlines()
+            for line in _log_bytes(journal).decode().splitlines()
         ]
         assert {rec["s"] for rec in lines if rec["r"] == "m"} == set(
             range(6)
@@ -201,7 +208,7 @@ class TestCompaction:
 
         lines = [
             json.loads(line)
-            for line in journal.log_path.read_text().splitlines()
+            for line in _log_bytes(journal).decode().splitlines()
         ]
         assert {rec["s"] for rec in lines if rec["r"] == "m"} == {4, 5}
         assert all(rec["r"] != "f" for rec in lines)
@@ -262,7 +269,7 @@ class TestCompaction:
         )
         journal.log_flush(4, 4, "deadline")
         journal.write_checkpoint(partitioner, {"applied_seq": 3})
-        before = journal.log_path.read_text(encoding="utf-8")
+        before = _log_bytes(journal).decode("utf-8")
         journal.write_checkpoint(partitioner, {"applied_seq": 3})
         # The re-encoding loop compaction used before it kept lines
         # verbatim.
@@ -275,7 +282,7 @@ class TestCompaction:
                 continue
             keep.append(json.dumps(record, separators=(",", ":")))
         expected = "\n".join(keep) + ("\n" if keep else "")
-        assert journal.log_path.read_bytes() == expected.encode("utf-8")
+        assert _log_bytes(journal) == expected.encode("utf-8")
         assert [json.loads(line)["r"] for line in keep] == ["m", "d", "f"]
         journal.close()
 
@@ -440,19 +447,41 @@ _NO_R_FIELD = _NOT_AN_OBJECT.replace('["r"]', '{"s":3}')
 
 
 class TestCompactionFilter:
-    @given(log=_logs(), applied_seq=st.integers(-3, 42))
-    @example(log=_UNTERMINATED, applied_seq=-1)
-    @example(log=_NOT_AN_OBJECT, applied_seq=-1)
+    @given(
+        log=_logs(), applied_seq=st.integers(-3, 42), stale=_logs()
+    )
+    @example(log=_UNTERMINATED, applied_seq=-1, stale="")
+    @example(log=_NOT_AN_OBJECT, applied_seq=-1, stale="")
+    @example(
+        # The kept line ends where a stale line does: without the NUL
+        # fill, the next stale line would read as a record.
+        log=modifier_line(0, EdgeInsert(0, 9))
+        + modifier_line(1, EdgeInsert(0, 10)),
+        applied_seq=0,
+        stale=modifier_line(2, EdgeInsert(0, 11))
+        + modifier_line(3, EdgeInsert(0, 12)),
+    )
     @settings(max_examples=300, deadline=None)
     def test_compact_keeps_what_the_parsing_filter_keeps(
-        self, log, applied_seq
+        self, log, applied_seq, stale
     ):
         with tempfile.TemporaryDirectory() as tmp:
             journal = StreamJournal(tmp)
             journal.log_path.write_text(log, encoding="utf-8")
+            # Compaction overwrites the idle log in place; none of what
+            # it held before may read back.
+            idle = Path(tmp) / journal_module.LOG_NAMES[1]
+            idle.write_text(stale, encoding="utf-8")
             expected = _parsing_filter(log, applied_seq)
             journal._compact(applied_seq)
-            assert journal.log_path.read_bytes() == expected.encode("utf-8")
+            assert journal.log_path == idle
+            assert _log_bytes(journal) == expected.encode("utf-8")
+            assert [
+                line + "\n"
+                for line, _kind, _seq in journal_module._committed_lines(
+                    idle
+                )[0]
+            ] == expected.splitlines(keepends=True)
 
     @given(log=_logs(), applied_seq=st.integers(-3, 42))
     @example(log=_UNTERMINATED, applied_seq=-1)
@@ -490,7 +519,7 @@ class TestCompactionFilter:
             journal.log_modifiers([(7, EdgeInsert(1, 2))])
             journal.close()
             expected = _commit_rule_records(log)[1] + line
-            assert journal.log_path.read_bytes() == expected.encode("utf-8")
+            assert _log_bytes(journal) == expected.encode("utf-8")
 
     def test_writer_lines_take_the_pattern(self):
         """The lines the writer formats with int fields never reach
@@ -579,20 +608,42 @@ class TestTrimOnOpen:
         ) == [0, 1]
 
 
+def _truncate(path):
+    with path.open("rb+") as handle:
+        handle.truncate(path.stat().st_size // 3)
+
+
+def _flip_mid_body(path):
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _lose_header(path):
+    path.write_bytes(path.read_bytes()[:64])
+
+
+#: Media damage to a checkpoint slot after it was written.
+_DAMAGE = {
+    "truncated": _truncate,
+    "flipped": _flip_mid_body,
+    "header-lost": _lose_header,
+}
+
+
 class TestCheckpointCorruption:
     def test_corrupt_checkpoint_falls_back_to_previous(
         self, partitioner, tmp_path
     ):
-        journal = StreamJournal(tmp_path / "j")
-        journal.write_checkpoint(partitioner, {"applied_seq": 3})
-        journal.write_checkpoint(partitioner, {"applied_seq": 7})
-        # Torn write: the newest checkpoint is half a file.
-        with journal.checkpoint_path.open("rb+") as handle:
-            handle.truncate(journal.checkpoint_path.stat().st_size // 3)
-        state = StreamJournal(tmp_path / "j").load()
-        assert state.applied_seq == 3  # the previous good checkpoint
-        assert state.partitioner.cut_size() == partitioner.cut_size()
-        journal.close()
+        for name, damage in _DAMAGE.items():
+            journal = StreamJournal(tmp_path / name)
+            journal.write_checkpoint(partitioner, {"applied_seq": 3})
+            journal.write_checkpoint(partitioner, {"applied_seq": 7})
+            damage(journal.checkpoint_path)
+            state = StreamJournal(tmp_path / name).load()
+            assert state.applied_seq == 3, name  # the previous checkpoint
+            assert state.partitioner.cut_size() == partitioner.cut_size()
+            journal.close()
 
     def test_flipped_byte_falls_back_to_v2_previous(
         self, partitioner, tmp_path, save_legacy_checkpoint
@@ -633,22 +684,31 @@ class TestCheckpointCorruption:
         self, partitioner, tmp_path
     ):
         """Conservative compaction: the fallback checkpoint must still
-        be able to replay forward after the newest one is lost."""
-        journal = StreamJournal(tmp_path / "j")
-        journal.write_checkpoint(partitioner, {"applied_seq": -1})
-        journal.log_modifiers(
-            [(seq, EdgeInsert(0, 9 + seq)) for seq in range(4)]
-        )
-        journal.log_flush(0, 3, "size")
-        journal.write_checkpoint(partitioner, {"applied_seq": 3})
-        # Newest checkpoint (cursor 3) torn; fall back to cursor -1.
-        with journal.checkpoint_path.open("rb+") as handle:
-            handle.truncate(journal.checkpoint_path.stat().st_size // 3)
-        state = StreamJournal(tmp_path / "j").load()
-        assert state.applied_seq == -1
-        assert sorted(state.modifiers) == [0, 1, 2, 3]
-        assert state.flushes == [(0, 3, "size", ())]
-        journal.close()
+        be able to replay forward after the newest one is lost — the
+        records the log held when the newest was written, and those
+        appended after it, which went to the log compaction made live."""
+        for name, damage in _DAMAGE.items():
+            journal = StreamJournal(tmp_path / name)
+            journal.write_checkpoint(partitioner, {"applied_seq": -1})
+            journal.log_modifiers(
+                [(seq, EdgeInsert(0, 9 + seq)) for seq in range(4)]
+            )
+            journal.log_flush(0, 3, "size")
+            journal.write_checkpoint(partitioner, {"applied_seq": 3})
+            journal.log_modifiers(
+                [(4, EdgeInsert(0, 13)), (5, EdgeInsert(0, 14))]
+            )
+            journal.log_flush(4, 5, "drain")
+            journal.close()
+            # Newest checkpoint (cursor 3) damaged; fall back to -1.
+            damage(journal.checkpoint_path)
+            state = StreamJournal(tmp_path / name).load()
+            assert state.applied_seq == -1, name
+            assert sorted(state.modifiers) == [0, 1, 2, 3, 4, 5]
+            assert state.flushes == [
+                (0, 3, "size", ()),
+                (4, 5, "drain", ()),
+            ]
 
 
 class TestTrimTornTail:
@@ -679,6 +739,7 @@ class TestTrimTornTail:
     def test_missing_file_is_zero(self, tmp_path):
         assert journal_module._committed_lines(tmp_path / "absent.log") == (
             [],
+            0,
             0,
         )
 
@@ -721,3 +782,183 @@ class TestTrimTornTail:
         state = StreamJournal(tmp_path / "j").load()
         assert state.modifiers[2] == EdgeInsert(3, 14)
         assert sorted(state.modifiers) == [0, 1, 2]
+
+
+class _Crash(Exception):
+    """The process dies inside a write."""
+
+
+def _loaded(directory):
+    """What a fresh journal over ``directory`` recovers."""
+    state = StreamJournal(directory).load()
+    return (
+        state.applied_seq, state.modifiers, state.flushes, state.dead_letters
+    )
+
+
+class TestCrashInsideACheckpoint:
+    """A checkpoint that compacts makes four in-place writes: it
+    invalidates the older slot, rewrites the idle log, marks the live
+    log superseded and overwrites the slot.  A crash inside any of them,
+    after any share of its bytes, recovers the checkpoint that stayed on
+    disk and every record past it; only a slot write that completed
+    recovers the new one.  Either way the recovered journal goes on
+    writing checkpoints its fallback can replay from."""
+
+    #: How much of the interrupted write lands, by its length.
+    CUTS = {
+        "nothing": lambda n: 0,
+        "one-byte": lambda n: 1,
+        "half": lambda n: n // 2,
+        "all-but-one": lambda n: n - 1,
+        "all": lambda n: n,
+    }
+
+    @pytest.mark.parametrize("cut", sorted(CUTS))
+    @pytest.mark.parametrize(
+        "write", ["invalidate", "compact", "mark", "slot"]
+    )
+    def test_recovery_is_the_kept_or_the_new_checkpoint(
+        self, partitioner, tmp_path, monkeypatch, write, cut
+    ):
+        directory = tmp_path / "j"
+        journal = StreamJournal(directory)
+        journal.write_checkpoint(partitioner, {"applied_seq": -1})
+        journal.log_modifiers(
+            [(seq, EdgeInsert(0, 9 + seq)) for seq in range(4)]
+        )
+        journal.log_flush(0, 1, "size")
+        journal.write_checkpoint(partitioner, {"applied_seq": 1})
+        journal.log_flush(2, 3, "size", excluded=[3])
+        journal.log_dead_letter(3, EdgeInsert(0, 12), "poison")
+        journal.write_checkpoint(partitioner, {"applied_seq": 3})
+        journal.log_modifiers(
+            [(seq, EdgeInsert(0, 9 + seq)) for seq in range(4, 8)]
+        )
+        journal.log_flush(4, 5, "size")
+        kept = _loaded(directory)
+
+        # A larger graph, so no torn prefix of its checkpoint can
+        # complete into a readable file over the older one's bytes.
+        grown = IGKway(
+            circuit_graph(400, edge_ratio=1.4, seed=5),
+            PartitionConfig(k=2, seed=2),
+        )
+        grown.full_partition()
+        writes = []
+        write_at = journal_module._write_at
+
+        def crashing(path, offset, data):
+            writes.append(path)
+            if len(writes) - 1 == ["invalidate", "compact", "mark",
+                                   "slot"].index(write):
+                write_at(path, offset, data[: self.CUTS[cut](len(data))])
+                raise _Crash
+            write_at(path, offset, data)
+
+        monkeypatch.setattr(journal_module, "_write_at", crashing)
+        with pytest.raises(_Crash):
+            journal.write_checkpoint(grown, {"applied_seq": 5})
+        journal.close()
+        monkeypatch.undo()
+
+        recovered = _loaded(directory)
+        if write == "slot" and cut == "all":
+            assert recovered == (
+                5,
+                {6: EdgeInsert(0, 15), 7: EdgeInsert(0, 16)},
+                [],
+                {3: "poison"},
+            )
+        else:
+            assert recovered == kept
+
+        cursor, modifiers, flushes, dead_letters = recovered
+        journal = StreamJournal(directory)
+        journal.load()
+        journal.log_modifiers([(8, EdgeInsert(0, 17))])
+        journal.log_flush(6, 8, "drain")
+        journal.write_checkpoint(partitioner, {"applied_seq": 8})
+        journal.close()
+        assert _loaded(directory) == (8, {}, [], {3: "poison"})
+        # The checkpoint recovery started from is the fallback now.
+        _lose_header(StreamJournal(directory).checkpoint_path)
+        assert _loaded(directory) == (
+            cursor,
+            {**modifiers, 8: EdgeInsert(0, 17)},
+            flushes + [(6, 8, "drain", ())],
+            dead_letters,
+        )
+
+
+def _files(directory):
+    """``{name: (inode, size)}`` of every file in ``directory``."""
+    return {
+        path.name: (path.stat().st_ino, path.stat().st_size)
+        for path in directory.iterdir()
+    }
+
+
+class TestNoBlockFreed:
+    def test_inodes_stay_and_sizes_never_shrink(
+        self, small_circuit, tmp_path
+    ):
+        """Once a session has written its first two checkpoints, no
+        checkpoint, compaction, close, evict, recovery or post-crash
+        append frees a disk block: no file is replaced, removed or
+        added, and none shrinks."""
+        directory = tmp_path / "j"
+        batches = iter(
+            generate_trace(
+                small_circuit,
+                TraceConfig(iterations=14, modifiers_per_iteration=4, seed=3),
+            )
+        )
+        session = StreamSession(
+            small_circuit,
+            PartitionConfig(k=2, seed=2),
+            journal_dir=directory,
+            checkpoint_every=0,
+        )
+
+        def flush(session):
+            session.submit_many(list(next(batches)))
+            session.flush()
+
+        session.start()
+        flush(session)
+        session.checkpoint()
+        before = _files(directory)
+
+        def unchanged():
+            after = _files(directory)
+            assert {name: ino for name, (ino, _) in after.items()} == {
+                name: ino for name, (ino, _) in before.items()
+            }
+            for name, (_ino, size) in after.items():
+                assert size >= before[name][1], name
+            before.update(after)
+
+        for _ in range(6):
+            flush(session)
+            unchanged()
+            session.checkpoint()
+            unchanged()
+        session.suspend()
+        unchanged()
+        session = StreamSession.recover(directory)
+        flush(session)
+        session.checkpoint()
+        unchanged()
+        # A crash tears an append at the committed end of the live log.
+        session.journal.close()
+        live = session.journal.log_path
+        with live.open("r+b") as handle:
+            handle.seek(len(live.read_bytes().rstrip(b"\0")))
+            handle.write(b'{"r":"m","s":999,"t":"ei","u":')
+        session = StreamSession.recover(directory)
+        flush(session)
+        unchanged()
+        session.close()
+        unchanged()
+        assert len(before) == 4

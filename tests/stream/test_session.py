@@ -10,12 +10,15 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.core.serialize import load_checkpoint, save_partitioner
 from repro.eval.workloads import TraceConfig, generate_trace
 from repro.graph import EdgeDelete, EdgeInsert, HostGraph
+from repro.graph.generators import circuit_graph
 from repro.partition import PartitionConfig
 from repro.serve.registry import partition_sha256
-from repro.stream import SchedulerConfig, StreamSession
+from repro.stream import SchedulerConfig, StreamJournal, StreamSession
 from repro.stream.cli import main as stream_cli
+from repro.stream.journal import LOG_NAMES, SLOT_NAMES
 from repro.utils import BackpressureError, JournalError, StreamError
 from repro.utils.seeding import make_rng
 
@@ -50,6 +53,27 @@ def _tree(root):
         path: path.read_bytes() if path.is_file() else None
         for path in sorted(root.rglob("*"))
     }
+
+
+def _to_pre_slot_layout(directory):
+    """Rewrite a journal directory in the layout from before checkpoint
+    slots: ``checkpoint.npz`` the newest checkpoint and
+    ``checkpoint.prev.npz`` the previous one, neither naming a
+    generation or a log, and ``journal.log`` the live log."""
+    journal = StreamJournal(directory)
+    checkpoints = [
+        load_checkpoint(path, slack=True)
+        for path in (journal.checkpoint_path, journal.prev_checkpoint_path)
+    ]
+    log = journal.log_path.read_bytes().rstrip(b"\0")
+    for name in SLOT_NAMES + LOG_NAMES:
+        (directory / name).unlink(missing_ok=True)
+    for (partitioner, meta), name in zip(
+        checkpoints, ("checkpoint.npz", "checkpoint.prev.npz")
+    ):
+        del meta["generation"], meta["log"]
+        save_partitioner(partitioner, directory / name, stream_meta=meta)
+    (directory / "journal.log").write_bytes(log)
 
 
 def _session(csr, tmp_path=None, target=16, **kwargs):
@@ -246,32 +270,38 @@ class TestCrashRecovery:
     ):
         stream = _churn_stream(small_circuit)
         crash_at = int(len(stream) * 0.6)
-
-        crashed = _session(
-            small_circuit, tmp_path, target=12, checkpoint_every=3
-        )
-        crashed.start()
-        for mod in stream[:crash_at]:
-            crashed.submit(mod)
-        # Crash: no close(), no final checkpoint.  The journal holds a
-        # stale checkpoint plus the logged suffix.
-        backlog_at_crash = crashed.queue.depth
-        crashed.journal.close()
-
-        recovered = StreamSession.recover(tmp_path / "j")
-        assert recovered.queue.depth == backlog_at_crash
-        for mod in stream[crash_at:]:
-            recovered.submit(mod)
-        recovered.drain()
-
         reference = self._run_uninterrupted(small_circuit, stream)
-        assert recovered.cut_size() == reference.cut_size()
-        assert np.array_equal(
-            recovered.partition, reference.partition
-        )
-        assert recovered.telemetry.recoveries == 1
-        assert recovered.telemetry.ingested == len(stream)
-        recovered.close()
+
+        # The journal as this release writes it, then as the release
+        # before checkpoint slots left it.
+        for layout in ("slots", "pre-slot"):
+            directory = tmp_path / layout
+            crashed = _session(
+                small_circuit, directory, target=12, checkpoint_every=3
+            )
+            crashed.start()
+            for mod in stream[:crash_at]:
+                crashed.submit(mod)
+            # Crash: no close(), no final checkpoint.  The journal holds
+            # a stale checkpoint plus the logged suffix.
+            backlog_at_crash = crashed.queue.depth
+            crashed.journal.close()
+            if layout == "pre-slot":
+                _to_pre_slot_layout(directory / "j")
+
+            recovered = StreamSession.recover(directory / "j")
+            assert recovered.queue.depth == backlog_at_crash
+            for mod in stream[crash_at:]:
+                recovered.submit(mod)
+            recovered.drain()
+
+            assert recovered.cut_size() == reference.cut_size(), layout
+            assert np.array_equal(
+                recovered.partition, reference.partition
+            )
+            assert recovered.telemetry.recoveries == 1
+            assert recovered.telemetry.ingested == len(stream)
+            recovered.close()
 
     def test_record_cut_before_its_newline_stays_out(
         self, small_circuit, tmp_path
@@ -508,3 +538,31 @@ class TestSuspend:
         )
         recovered.close()
         reference.close()
+
+    def test_evict_reattach_churn_keeps_the_log_bounded(self, tmp_path):
+        # The journal that recovered a session knows its checkpoints'
+        # cursors, so the evict's checkpoint compacts; a fresh journal
+        # kept every record, and the log grew ~820 bytes a cycle.
+        csr = circuit_graph(1200, edge_ratio=1.4, seed=7)
+        batches = iter(
+            generate_trace(
+                csr,
+                TraceConfig(iterations=90, modifiers_per_iteration=5, seed=4),
+            )
+        )
+        directory = tmp_path / "j"
+        session = StreamSession(
+            csr, PartitionConfig(k=4, seed=1), journal_dir=directory
+        )
+        session.start()
+        session.suspend()
+        sizes = []
+        for _cycle in range(30):
+            session = StreamSession.recover(directory)
+            for _flush in range(3):
+                session.submit_many(list(next(batches)))
+                session.flush()
+            session.suspend()
+            log = StreamJournal(directory).log_path
+            sizes.append(len(log.read_bytes().rstrip(b"\0")))
+        assert max(sizes) < 2 * min(sizes)

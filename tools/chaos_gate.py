@@ -466,13 +466,16 @@ def scenario_journal(n_vertices, k, seed, healthy_count, poison_count):
         variants = {"pristine": None}
         torn_dir = tmp / "torn"
         shutil.copytree(main_dir, torn_dir)
-        with (torn_dir / "journal.log").open("a") as handle:
-            handle.write('{"r":"m","s":999999,"t":"ei","u":0,')
+        # A crash tears the next append at the live log's committed end.
+        live_log = torn_dir / journal.log_path.name
+        with live_log.open("r+b") as handle:
+            handle.seek(len(live_log.read_bytes().rstrip(b"\0")))
+            handle.write(b'{"r":"m","s":999999,"t":"ei","u":0,')
         variants["torn tail"] = torn_dir
 
         corrupt_dir = tmp / "corrupt"
         shutil.copytree(main_dir, corrupt_dir)
-        checkpoint = corrupt_dir / "checkpoint.npz"
+        checkpoint = corrupt_dir / journal.checkpoint_path.name
         injector.truncate(checkpoint, fraction=0.4)
         variants["corrupt checkpoint"] = corrupt_dir
         variants["pristine"] = main_dir
