@@ -124,7 +124,8 @@ def expand_modifiers(
 
     Expansion is also the validity gate: modifiers referencing inactive
     or unknown vertices, duplicate edge insertions, missing edge
-    deletions and re-activations of live vertices are rejected *here*,
+    deletions, re-activations of live vertices and edge or vertex
+    insertions with a weight below 1 are rejected *here*,
     before any kernel writes a slot — matching :class:`HostGraph`'s
     reference semantics.  Errors name the failing modifier's batch index
     so bisection and operator logs are actionable.
@@ -197,6 +198,11 @@ def expand_modifiers(
                     f"modifier {index}: {modifier!r} is a self-loop",
                     modifier_index=index,
                 )
+            if modifier.weight < 1:
+                raise ModifierError(
+                    f"modifier {index}: {modifier!r} has a weight below 1",
+                    modifier_index=index,
+                )
             check_live(modifier.u, modifier, index)
             check_live(modifier.v, modifier, index)
             if edge_exists(modifier.u, modifier.v):
@@ -231,6 +237,11 @@ def expand_modifiers(
             ops.append(VertexDeactivate(modifier.u))
             pending_status[modifier.u] = False
         elif isinstance(modifier, VertexInsert):
+            if modifier.weight < 1:
+                raise ModifierError(
+                    f"modifier {index}: {modifier!r} has a weight below 1",
+                    modifier_index=index,
+                )
             status = pending_status.get(modifier.u)
             if status is True or (
                 status is None

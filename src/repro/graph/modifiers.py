@@ -360,6 +360,8 @@ class HostGraph:
             self.apply(modifier)
 
     def _insert_vertex(self, u: int, weight: int) -> None:
+        if weight < 1:
+            raise ModifierError(f"vertex {u} weight {weight} is below 1")
         if self.active.get(u, False):
             raise ModifierError(f"vertex {u} already active")
         if u not in self.adj:
@@ -385,6 +387,8 @@ class HostGraph:
     def _insert_edge(self, u: int, v: int, weight: int) -> None:
         if u == v:
             raise ModifierError("self-loops are not allowed")
+        if weight < 1:
+            raise ModifierError(f"edge ({u}, {v}) weight {weight} is below 1")
         if not self.active.get(u, False) or not self.active.get(v, False):
             raise ModifierError(f"edge ({u}, {v}) touches an inactive vertex")
         if v in self.adj[u]:

@@ -23,6 +23,19 @@ finds every boundary vertex's best move, then ``heapq.heapify`` orders
 them.  A heap's pop sequence depends only on the multiset of its
 ``(-gain, vertex, target, gain)`` tuples, so this yields exactly the
 moves that pushing the candidates one by one would.
+
+Most of an exhaustive pass is a tail that the rollback undoes, so the
+pass stops once no later prefix can win.  It keeps ``locked_cut``, the
+weight of the edges whose two endpoints are both locked and in different
+parts.  Locked vertices never move again within the pass, so with
+non-negative edge weights every later prefix has a cut of at least
+``locked_cut``, and so a cumulative gain of at most
+``cut0 - locked_cut`` (``cut0`` is the cut the pass started from).  A
+new best prefix needs a strictly larger gain than the best so far, so
+once ``cut0 - locked_cut <= best_cumulative`` the best prefix is final:
+the rollback restores the labels, part weights and gain the exhaustive
+pass would.  A graph with a negative edge weight runs the pass to the
+end.
 """
 
 from __future__ import annotations
@@ -38,53 +51,22 @@ from repro.partition.metrics import max_partition_weight
 from repro.partition.refine import connectivity_matrix
 
 
-def _best_move(
-    conn_row: list[int],
-    current: int,
-    limit: int,
-    part_weights: list[int],
-) -> tuple[int, int] | None:
-    """Best feasible ``(gain, target)`` for one vertex, or None.
-
-    A target is feasible when its weight is at most ``limit`` (W_pmax
-    minus the vertex weight).  The gain is the target's connectivity
-    minus the current part's, so the best target has the highest
-    connectivity; ties go to the lighter target, then to the lower part
-    index.
-    """
-    best_target = -1
-    best_conn = best_weight = 0
-    for p in range(len(conn_row)):
-        weight = part_weights[p]
-        if weight > limit or p == current:
-            continue
-        conn = conn_row[p]
-        if (
-            best_target < 0
-            or conn > best_conn
-            or (conn == best_conn and weight < best_weight)
-        ):
-            best_conn, best_target, best_weight = conn, p, weight
-    if best_target < 0:
-        return None
-    return best_conn - conn_row[current], best_target
-
-
 def _seed_heap(
     conn: np.ndarray,
     partition: np.ndarray,
     vwgt: np.ndarray,
     part_weights: np.ndarray,
     w_pmax: int,
-) -> list[tuple[int, int, int, int]]:
-    """Heap of every boundary vertex's best move, in one array pass.
+) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Heap of every boundary vertex's best move, and the starting cut.
 
-    Same choice as :func:`_best_move` row by row: the highest gain, then
-    the lighter target part, then the lower part index (``argmin``
-    returns the first minimum).
+    One array pass applies the best-move rule to every row: the highest
+    gain, then the lighter target part, then the lower part index
+    (``argmin`` returns the first minimum).
     """
     internal = conn[np.arange(conn.shape[0]), partition]
-    boundary = np.flatnonzero(conn.sum(axis=1) != internal)
+    external = conn.sum(axis=1) - internal
+    boundary = np.flatnonzero(external)
     feasible = part_weights + vwgt[boundary, None] <= w_pmax
     feasible[np.arange(boundary.size), partition[boundary]] = False
     movable = feasible.any(axis=1)
@@ -97,7 +79,7 @@ def _seed_heap(
         (-best).tolist(), boundary.tolist(), target.tolist(), best.tolist()
     ))
     heapq.heapify(heap)
-    return heap
+    return heap, int(external.sum()) // 2
 
 
 def fm_pass(
@@ -113,13 +95,15 @@ def fm_pass(
     Mutates ``partition`` and ``part_weights`` in place.  Every vertex
     moves at most once; the sequence of applied moves is rolled back to
     the prefix with the best cumulative gain, so the cut never gets
-    worse.
+    worse.  With non-negative edge weights the pass stops as soon as no
+    later prefix can beat that best one (see the module docstring).
     """
     n = csr.num_vertices
     conn = connectivity_matrix(csr, partition, k).astype(np.int64)
     if max_moves is None:
         max_moves = n
-    heap = _seed_heap(conn, partition, csr.vwgt, part_weights, w_pmax)
+    heap, cut0 = _seed_heap(conn, partition, csr.vwgt, part_weights, w_pmax)
+    bounded = not (csr.adjwgt < 0).any()
 
     rows = conn.tolist()
     part = partition.tolist()
@@ -128,25 +112,42 @@ def fm_pass(
     xadj = csr.xadj.tolist()
     adjncy = csr.adjncy.tolist()
     adjwgt = csr.adjwgt.tolist()
+    heappop, heappush = heapq.heappop, heapq.heappush
+    parts = range(k)
 
     locked = [False] * n
     applied: list[tuple[int, int]] = []  # (vertex, source partition)
     cumulative = 0
     best_cumulative = 0
     best_prefix = 0
+    locked_cut = 0  # weight of cut edges between two locked vertices
 
     while heap and len(applied) < max_moves:
-        _neg, v, target, stamped_gain = heapq.heappop(heap)
+        _neg, v, target, stamped_gain = heappop(heap)
         if locked[v]:
             continue
         current = part[v]
-        move = _best_move(rows[v], current, w_pmax - vwgt[v], weights)
-        if move is None:
+        row = rows[v]
+        # Best move: the feasible part (not the current one, weight at
+        # most W_pmax minus the vertex weight) of highest connectivity;
+        # ties go to the lighter part, then the lower index.
+        limit = w_pmax - vwgt[v]
+        best = -1
+        for p in parts:
+            weight = weights[p]
+            if weight > limit or p == current:
+                continue
+            c = row[p]
+            if best < 0 or c > best_conn or (
+                c == best_conn and weight < best_weight
+            ):
+                best, best_conn, best_weight = p, c, weight
+        if best < 0:
             continue
-        gain, live_target = move
-        if gain != stamped_gain or live_target != target:
+        gain = best_conn - row[current]
+        if gain != stamped_gain or best != target:
             # Stale entry: re-push with the fresh values.
-            heapq.heappush(heap, (-gain, v, live_target, gain))
+            heappush(heap, (-gain, v, best, gain))
             continue
         # Apply the move.
         locked[v] = True
@@ -164,14 +165,27 @@ def fm_pass(
             row = rows[w]
             row[current] -= wgt
             row[target] += wgt
-            if not locked[w]:
-                refreshed = _best_move(
-                    row, part[w], w_pmax - vwgt[w], weights
-                )
-                if refreshed is not None:
-                    heapq.heappush(
-                        heap, (-refreshed[0], w, refreshed[1], refreshed[0])
-                    )
+            if locked[w]:
+                if part[w] != target:
+                    locked_cut += wgt
+                continue
+            current_w = part[w]
+            limit = w_pmax - vwgt[w]
+            best = -1
+            for p in parts:
+                weight = weights[p]
+                if weight > limit or p == current_w:
+                    continue
+                c = row[p]
+                if best < 0 or c > best_conn or (
+                    c == best_conn and weight < best_weight
+                ):
+                    best, best_conn, best_weight = p, c, weight
+            if best >= 0:
+                gain = best_conn - row[current_w]
+                heappush(heap, (-gain, w, best, gain))
+        if bounded and cut0 - locked_cut <= best_cumulative:
+            break
 
     # Roll back past the best prefix.
     for v, source in reversed(applied[best_prefix:]):

@@ -27,28 +27,24 @@ from repro.utils.seeding import make_rng
 def bfs_order(csr: CSRGraph, start: int) -> np.ndarray:
     """BFS numbering covering every component (restarts at unvisited)."""
     n = csr.num_vertices
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
+    xadj = csr.xadj.tolist()
+    adjncy = csr.adjncy.tolist()
+    visited = [False] * n
+    order: list[int] = []
     queue: deque[int] = deque()
-    pivots = np.concatenate(
-        ([start], np.delete(np.arange(n), start))
-    )
-    for pivot in pivots:
+    for pivot in (start, *range(n)):
         if visited[pivot]:
             continue
         visited[pivot] = True
-        queue.append(int(pivot))
+        queue.append(pivot)
         while queue:
             u = queue.popleft()
-            order[pos] = u
-            pos += 1
-            for v in csr.neighbors(u):
-                v = int(v)
+            order.append(u)
+            for v in adjncy[xadj[u]:xadj[u + 1]]:
                 if not visited[v]:
                     visited[v] = True
                     queue.append(v)
-    return order
+    return np.array(order, dtype=np.int64)
 
 
 def partition_by_order(
@@ -74,14 +70,14 @@ def random_balanced_partition(
     csr: CSRGraph, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Deal shuffled vertices into the currently-lightest partition."""
-    n = csr.num_vertices
-    partition = np.empty(n, dtype=np.int64)
-    weights = np.zeros(k, dtype=np.int64)
-    for u in rng.permutation(n):
-        label = int(np.argmin(weights))
+    vwgt = csr.vwgt.tolist()
+    partition = [0] * csr.num_vertices
+    weights = [0] * k
+    for u in rng.permutation(csr.num_vertices).tolist():
+        label = weights.index(min(weights))
         partition[u] = label
-        weights[label] += csr.vwgt[u]
-    return partition
+        weights[label] += vwgt[u]
+    return np.array(partition, dtype=np.int64)
 
 
 def initial_partition(

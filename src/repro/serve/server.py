@@ -1272,15 +1272,18 @@ class ServerThread:
             # Cancel and await whatever is still in flight (a crashed
             # server's connection handlers) before closing the loop: a
             # task left pending would be destroyed with a closed loop.
+            # Run the loop even when nothing is pending: a handler that
+            # closed its writer as the crash stopped the loop left the
+            # socket's close queued, and a killed process's sockets are
+            # reset at once, not when the client times out.
             pending = [
                 t for t in asyncio.all_tasks(self._loop) if not t.done()
             ]
             for task in pending:
                 task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
+            self._loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
             self._loop.close()
 
     @property

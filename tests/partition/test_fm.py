@@ -1,13 +1,15 @@
 """FM hill-climbing refinement."""
 
 import heapq
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import CSRGraph, mesh_graph_2d
+from repro.graph import CSRGraph, circuit_graph, mesh_graph_2d
+from repro.partition import GKwayPartitioner, PartitionConfig, fm
 from repro.partition.refine import connectivity_matrix
 from repro.partition.fm import fm_pass, fm_refine
 from repro.partition.metrics import (
@@ -143,11 +145,45 @@ class TestFmRefine:
         assert ctx.ledger.total.kernel_launches >= 1
 
 
+#: Heap pops of exhaustive FM passes (no early stop) over the full
+#: partition of ``circuit_graph(3000, 1.4, seed=0)`` at k=8, seed 0.
+EXHAUSTIVE_FGP_POPS = 14_857
+
+
+def test_full_partition_stops_passes_early(monkeypatch):
+    """The early stop skips at least half the exhaustive passes' heap
+    pops on the eco-burst graph's full partition.  A count, not a time:
+    a return to exhaustive passes fails here instead of hiding inside
+    the perf gate's noise floor."""
+    pops = 0
+
+    def counting_heappop(heap):
+        nonlocal pops
+        pops += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(
+        fm,
+        "heapq",
+        SimpleNamespace(
+            heappop=counting_heappop,
+            heappush=heapq.heappush,
+            heapify=heapq.heapify,
+        ),
+    )
+    GKwayPartitioner(PartitionConfig(k=8, seed=0)).partition(
+        circuit_graph(3000, 1.4, seed=0)
+    )
+    assert 0 < pops <= EXHAUSTIVE_FGP_POPS // 2
+
+
 # -- exactness against the scalar reference ---------------------------------
 #
 # The pass below is the scalar formulation ``fm_pass`` replaced: one
-# ``_best_move`` loop over NumPy scalars per candidate and one heap push
-# per boundary vertex.  The list-based pass must reproduce it exactly.
+# best-move loop over NumPy scalars per candidate, one heap push per
+# boundary vertex, and no early stop: it runs until the heap or the
+# ``max_moves`` budget is spent.  The list-based pass, which stops once
+# no later prefix can win, must reproduce it exactly.
 
 
 def _reference_best_move(conn_row, current, vertex_weight, part_weights,
@@ -246,23 +282,36 @@ def _reference_fm_pass(csr, partition, part_weights, k, w_pmax,
     return best_cumulative
 
 
+@example(
+    n=3, density=2.0, k=8, skew=None, slack=0, max_moves=None, seed=0,
+    negative=False,
+)
+@example(
+    n=12, density=1.5, k=2, skew=None, slack=4, max_moves=None, seed=1,
+    negative=True,
+)
 @given(
-    n=st.integers(2, 80),
+    n=st.integers(200, 800),
     density=st.floats(0.5, 4.0),
     k=st.integers(2, 8),
     skew=st.sampled_from([None, 0.5, 0.9]),
-    slack=st.integers(-3, 12),
-    max_moves=st.one_of(st.none(), st.integers(1, 12)),
+    slack=st.integers(-6, 12),
+    max_moves=st.one_of(st.none(), st.integers(1, 800)),
     seed=st.integers(0, 2**31 - 1),
+    negative=st.just(False),
 )
 @settings(max_examples=200, deadline=None)
 def test_fm_pass_matches_scalar_reference(
-    n, density, k, skew, slack, max_moves, seed
+    n, density, k, skew, slack, max_moves, seed, negative
 ):
     """Same moves, rollback and gain as the scalar pass: weighted edges
-    and vertices (as on coarse levels), random or skewed partitions with
-    parts above W_pmax, tight bounds that leave vertices without a
-    feasible target, and a ``max_moves`` cap that binds or not."""
+    (zero weights included) and vertices (as on coarse levels), random
+    or skewed partitions with parts above W_pmax, tight bounds that
+    leave vertices without a feasible target, and a ``max_moves`` cap
+    that binds or not.  The explicit examples add a graph with fewer
+    vertices than parts and one with a negative edge weight, on which
+    the early stop, were it taken, would end the pass before its best
+    prefix."""
     rng = np.random.default_rng(seed)
     m = int(n * density)
     src = rng.integers(0, n, size=m)
@@ -272,10 +321,13 @@ def test_fm_pass_matches_scalar_reference(
         np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)[keep],
         axis=0,
     )
+    edge_weights = rng.integers(0, 7, size=len(edges))
+    if negative:
+        edge_weights[rng.integers(len(edges))] = -20
     csr = CSRGraph.from_edges(
         n,
         edges,
-        edge_weights=rng.integers(1, 6, size=len(edges)),
+        edge_weights=edge_weights,
         vertex_weights=rng.integers(1, 5, size=n),
     )
     if skew is None:
@@ -288,7 +340,9 @@ def test_fm_pass_matches_scalar_reference(
     weights = np.bincount(partition, weights=csr.vwgt, minlength=k).astype(
         np.int64
     )
-    w_pmax = max(1, csr.total_vertex_weight() // k + slack)
+    w_pmax = max(
+        1, max_partition_weight(csr.total_vertex_weight(), k, 0.03) + slack
+    )
 
     ref_partition, ref_weights = partition.copy(), weights.copy()
     ref_gain = _reference_fm_pass(

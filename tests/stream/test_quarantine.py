@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro import PartitionConfig
-from repro.graph import EdgeInsert
+from repro.graph import EdgeInsert, VertexInsert
 from repro.graph.generators import circuit_graph
+from repro.partition.metrics import cut_size_bucketlist
 from repro.stream import StreamSession
 from repro.stream.journal import StreamJournal
 from repro.stream.quarantine import Quarantine
@@ -145,6 +146,41 @@ class TestSessionDegradation:
         metrics = session.metrics()
         assert metrics["batch_failures"] >= 1
         assert metrics["quarantine_pending"] == 1
+
+    @pytest.mark.parametrize("weight", [0, -50])
+    @pytest.mark.parametrize("kind", ["edge", "vertex"])
+    def test_insert_weighing_below_one_is_quarantined(self, kind, weight):
+        """The expansion gate rejects an edge or vertex insert whose
+        weight is below 1, so it is quarantined like any poison: once
+        applied, a negative edge weight would skew the reported cut."""
+        session = make_session()
+        rng = np.random.default_rng(6)
+        graph = session.partitioner.graph
+        healthy = fresh_edges(graph, rng, 7, set())
+        edge = healthy.pop()
+        num_vertices = graph.num_vertices
+        if kind == "edge":
+            poison = EdgeInsert(edge.u, edge.v, weight)
+        else:
+            poison = VertexInsert(num_vertices, weight)
+        for mod in healthy[:3]:
+            session.submit(mod)
+        poison_seq = session.submit(poison)
+        for mod in healthy[3:]:
+            session.submit(mod)
+        session.drain()
+        assert [e.seq for e in session.quarantine.entries.values()] == [
+            poison_seq
+        ]
+        graph = session.partitioner.graph
+        for mod in healthy:
+            assert graph.has_edge(mod.u, mod.v)
+        assert not graph.has_edge(edge.u, edge.v)
+        assert graph.num_vertices == num_vertices
+        session.partitioner.validate()
+        assert session.cut_size() == cut_size_bucketlist(
+            graph, session.partitioner.partition
+        )
 
     def test_accounting_identity_holds_under_failures(self):
         session = make_session()
